@@ -1,13 +1,15 @@
 // Host-native microbenchmarks of the simulator hot paths: EventQueue
 // push/pop (same-cycle fast path, near-future bucket regime, far-future heap
-// regime), SimMemory read/write throughput, and — the headline numbers —
-// whole-machine cells/sec on fig1/fig2-shaped cells for all three machine
-// presets. These measure this machine, not the simulated hardware — they
-// exist so the "make the simulator faster" optimizations are quantified and
-// gated, not asserted. With ARCHGRAPH_BENCH_JSON=<dir> set the results land
-// in <dir>/BENCH_host_sim.json (one record per benchmark, ops_per_sec is the
-// headline number; for machine/* records one "op" is one simulated cell, so
-// ops_per_sec is host cells/sec — compare two runs with tools/bench_diff).
+// regime, region restarts), SimMemory read/write throughput, and — the
+// headline numbers — whole-machine throughput on fig1/fig2-shaped cells for
+// all three machine presets. These measure this machine, not the simulated
+// hardware — they exist so the "make the simulator faster" optimizations are
+// quantified and gated, not asserted. With ARCHGRAPH_BENCH_JSON=<dir> set the
+// results land in <dir>/BENCH_host_sim.json (one record per benchmark,
+// ops_per_sec is the headline number; for machine/* records one "op" is one
+// simulated instruction, so ops_per_sec is host instructions/sec — compare
+// two runs with tools/bench_diff). Event-queue and machine records also
+// carry heap_pushes, the events that took the queue's overflow heap.
 #include <iostream>
 #include <string>
 #include <vector>
@@ -33,6 +35,7 @@ struct Result {
   std::string name;
   u64 ops = 0;
   double seconds = 0.0;
+  i64 heap_pushes = -1;  // -1: not an event-queue measurement
   double ops_per_sec() const { return seconds > 0.0 ? ops / seconds : 0.0; }
 };
 
@@ -58,7 +61,8 @@ Result bench_event_queue_same_cycle(u64 ops) {
     const sim::Cycle next = done % 64 == 0 ? e.time + 1 : e.time;
     q.push(next, 1, done);
   }
-  return {"event_queue/same_cycle", ops, timer.seconds()};
+  return {"event_queue/same_cycle", ops, timer.seconds(),
+          static_cast<i64>(q.heap_pushes())};
 }
 
 /// Heap regime: every push lands at a distinct future time (memory-latency
@@ -78,7 +82,42 @@ Result bench_event_queue_heap(u64 ops) {
     g_sink += e.payload;
     q.push(e.time + 1 + static_cast<sim::Cycle>(rng.below(200)), 2, done);
   }
-  return {"event_queue/heap", ops, timer.seconds()};
+  return {"event_queue/heap", ops, timer.seconds(),
+          static_cast<i64>(q.heap_pushes())};
+}
+
+/// Region-restart regime, the way Shiloach-Vishkin CC drives a machine's
+/// queue: one long region, then many shorter ones, each restarting simulated
+/// time at 0 behind start_region(). Every stream's chain mixes same-cycle
+/// steps, next-cycle issues and memory round trips, so all traffic belongs
+/// on the FIFO and bucket levels; heap_pushes counts what leaked to the
+/// overflow heap.
+Result bench_event_queue_region_restart(u64 ops) {
+  constexpr u64 kStreams = 1024;
+  constexpr sim::Cycle kFork = 256;
+  constexpr sim::Cycle kLatency = 100;
+  sim::EventQueue q;
+  Prng rng(0x7e57a7);
+  Timer timer;
+  u64 done = 0;
+  for (u32 region = 0; done < ops; ++region) {
+    // The first region issues 8x the events of each later one.
+    u64 budget = region == 0 ? ops / 4 : ops / 32;
+    q.start_region();
+    for (u64 s = 0; s < kStreams; ++s) q.push(kFork, 1, s);
+    while (!q.empty()) {
+      const sim::Event e = q.pop();
+      g_sink += e.payload;
+      ++done;
+      if (budget == 0) continue;  // region end: let the streams drain
+      --budget;
+      const u64 roll = rng.below(4);
+      const sim::Cycle step = roll == 0 ? 0 : roll == 1 ? 1 : kLatency;
+      q.push(e.time + step, 1, e.payload);
+    }
+  }
+  return {"event_queue/region_restart", done, timer.seconds(),
+          static_cast<i64>(q.heap_pushes())};
 }
 
 Result bench_memory_sequential(u64 words, u64 passes) {
@@ -140,9 +179,9 @@ Result bench_memory_tag_bits(u64 words, u64 passes) {
 
 /// Whole-machine throughput: run one fig1- or fig2-shaped sweep cell
 /// repeatedly on a fresh machine each time (exactly what sweep::run_plan
-/// does per cell) and report host cells/sec. This is the number every
-/// ROADMAP scenario item is bounded by — the queue/memory micros above are
-/// its ingredients.
+/// does per cell) and report host simulated instructions/sec. This is the
+/// number every ROADMAP scenario item is bounded by — the queue/memory
+/// micros above are its ingredients.
 Result bench_machine_cell(const std::string& label, const std::string& kernel,
                           const std::string& machine, sweep::Layout layout,
                           i64 n, i64 m, u64 reps) {
@@ -154,13 +193,18 @@ Result bench_machine_cell(const std::string& label, const std::string& kernel,
   cell.m = m;
   const sweep::KernelInfo& info = sweep::find_kernel(kernel);
   const sweep::KernelInput input = sweep::make_input(info, cell);
+  u64 instructions = 0;
+  u64 heap_pushes = 0;
   Timer timer;
   for (u64 r = 0; r < reps; ++r) {
     const auto mach = sim::make_machine(machine);
     info.run(*mach, input, /*verify=*/false);
     g_sink += static_cast<u64>(mach->cycles());
+    instructions += static_cast<u64>(mach->stats().instructions);
+    heap_pushes += mach->event_heap_pushes();
   }
-  return {"machine/" + label, reps, timer.seconds()};
+  return {"machine/" + label, instructions, timer.seconds(),
+          static_cast<i64>(heap_pushes)};
 }
 
 }  // namespace
@@ -195,14 +239,15 @@ int main() {
   std::vector<Result> results;
   results.push_back(bench_event_queue_same_cycle(queue_ops));
   results.push_back(bench_event_queue_heap(queue_ops));
+  results.push_back(bench_event_queue_region_restart(queue_ops));
   results.push_back(bench_memory_sequential(words, passes));
   results.push_back(bench_memory_random(words, passes));
   results.push_back(bench_memory_tag_bits(words, passes));
 
-  // Whole-machine cells/sec, fig1- and fig2-shaped, one pair per preset.
-  // fig1 shape: list ranking on a random list (lr_walk for the fine-grain
-  // machines, lr_hj for the SMP). fig2 shape: Shiloach-Vishkin CC on a
-  // random graph with m = 8n (cc_sv_smp on the SMP).
+  // Whole-machine instructions/sec, fig1- and fig2-shaped, one pair per
+  // preset. fig1 shape: list ranking on a random list (lr_walk for the
+  // fine-grain machines, lr_hj for the SMP). fig2 shape: Shiloach-Vishkin CC
+  // on a random graph with m = 8n (cc_sv_smp on the SMP).
   const i64 cc_n = cell_n / 4;
   const auto layout = sweep::Layout::kRandom;
   results.push_back(bench_machine_cell("mta/fig1", "lr_walk", "mta:procs=4",
@@ -220,19 +265,21 @@ int main() {
   results.push_back(bench_machine_cell("gpu/fig2", "cc_sv_mta", "gpu:procs=4",
                                        layout, cc_n, 8 * cc_n, cell_reps));
 
-  Table table({"benchmark", "ops", "seconds", "Mops/sec"}, 3);
+  Table table({"benchmark", "ops", "seconds", "Mops/sec", "heap pushes"}, 3);
   bench::BenchJson bj("host_sim");
   for (const Result& r : results) {
     table.row()
         .add(r.name)
         .add(static_cast<i64>(r.ops))
         .add(r.seconds)
-        .add(r.ops_per_sec() / 1e6);
+        .add(r.ops_per_sec() / 1e6)
+        .add(r.heap_pushes >= 0 ? std::to_string(r.heap_pushes) : "-");
     bj.record([&](obs::JsonWriter& w) {
       w.field("benchmark", r.name)
           .field("ops", static_cast<i64>(r.ops))
           .field("seconds", r.seconds)
           .field("ops_per_sec", r.ops_per_sec());
+      if (r.heap_pushes >= 0) w.field("heap_pushes", r.heap_pushes);
     });
   }
   std::cout << table;

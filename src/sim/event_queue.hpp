@@ -37,6 +37,14 @@
 // pop() compares the three level fronts by (time, seq), so the levels
 // interleave exactly like one totally ordered queue.
 //
+// Region epochs: every Machine::run_region() restarts simulated time at 0,
+// and the FIFO/bucket tests are relative to now_ and win_base_. Each
+// simulate() therefore opens its region with start_region(), which requires
+// the queue to be drained and re-anchors both to 0. Without it every region
+// shorter than the longest one before it pushes "into the past" and the
+// whole region runs through the heap. Re-anchoring an empty queue cannot
+// change pop order: that is a function of the push sequence alone.
+//
 // tests/sim/event_queue_test.cpp runs randomized differential checks against
 // a reference model, including past-time pushes, window-boundary times, and
 // same-cycle ordering across levels.
@@ -73,11 +81,25 @@ class EventQueue {
     slot_head_.fill(kNil);
   }
 
+  /// Opens a region epoch: the queue must be drained (a region ends only
+  /// when its last event has popped), and time restarts at 0. Draining
+  /// already reset the FIFO and emptied every bucket slot.
+  void start_region() {
+    AG_CHECK(empty(), "stale events from a previous region");
+    now_ = 0;
+    win_base_ = 0;
+  }
+
+  /// Pushes that took the overflow heap (far-future or past-time events),
+  /// cumulative over the queue's lifetime. Read-only diagnostics: nothing
+  /// simulated depends on it.
+  u64 heap_pushes() const { return heap_pushes_; }
+
   void push(Cycle time, u32 kind, u64 payload) {
     // Hottest path: the FIFO must stay sorted by (time, seq). Appending
     // keeps it so except after a push into the past moved now_ backwards
-    // while later-time events sit in the FIFO — that corner (never hit by
-    // the machine models) takes the heap instead.
+    // while later-time events sit in the FIFO — that corner takes the heap
+    // instead.
     if (time == now_ &&
         (fifo_head_ == fifo_.size() || fifo_.back().time <= time)) {
       fifo_.push_back(Event{time, next_seq_++, kind, payload});
@@ -99,6 +121,7 @@ class EventQueue {
       return;
     }
     // Far future or past: the overflow heap.
+    ++heap_pushes_;
     heap_.push_back(Event{time, next_seq_++, kind, payload});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
@@ -234,6 +257,7 @@ class EventQueue {
   Cycle now_ = 0;       // time of the most recently popped event
   Cycle win_base_ = 0;  // running max of popped times (window anchor)
   u64 next_seq_ = 0;
+  u64 heap_pushes_ = 0;
 };
 
 }  // namespace archgraph::sim

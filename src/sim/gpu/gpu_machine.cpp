@@ -135,7 +135,7 @@ Cycle GpuMachine::simulate(std::vector<ThreadState*>& threads) {
   barrier_max_arrival_ = 0;
   live_ = static_cast<i64>(threads_.size());
   region_end_ = 0;
-  AG_CHECK(events_.empty(), "stale events from a previous region");
+  events_.start_region();
 
   // --- warp formation: consecutive thread ids share a warp; warps map
   // round-robin over SMs. Warps beyond the per-SM residency wait for a slot

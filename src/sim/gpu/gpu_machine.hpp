@@ -111,6 +111,7 @@ class GpuMachine final : public Machine {
            config_.warp_width;
   }
   const GpuConfig& config() const { return config_; }
+  u64 event_heap_pushes() const override { return events_.heap_pushes(); }
 
   /// Gauges: per-SM issued warp-instruction slots (cumulative; reset each
   /// region), then aggregate ready warps, blocked warps, and outstanding

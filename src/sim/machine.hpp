@@ -127,6 +127,10 @@ class Machine {
   /// differ (thousands of fine-grain threads vs. p coarse threads).
   virtual i64 concurrency() const = 0;
 
+  /// Host-side diagnostic: pushes that took the event queue's overflow heap
+  /// so far (EventQueue::heap_pushes). Not simulated state; never serialized.
+  virtual u64 event_heap_pushes() const = 0;
+
   /// Simulated wall-clock seconds so far (cycles / clock rate).
   double seconds() const { return static_cast<double>(cycles()) / clock_hz(); }
 

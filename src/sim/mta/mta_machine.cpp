@@ -126,7 +126,7 @@ Cycle MtaMachine::simulate(std::vector<ThreadState*>& threads) {
   barrier_max_arrival_ = 0;
   live_ = static_cast<i64>(threads_.size());
   region_end_ = 0;
-  AG_CHECK(events_.empty(), "stale events from a previous region");
+  events_.start_region();
 
   // --- admission: map threads to processors round-robin; threams beyond the
   // stream count per processor wait for a slot (the MTA runtime maps threads

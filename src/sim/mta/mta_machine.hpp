@@ -86,6 +86,7 @@ class MtaMachine final : public Machine {
            config_.streams_per_processor;
   }
   const MtaConfig& config() const { return config_; }
+  u64 event_heap_pushes() const override { return events_.heap_pushes(); }
 
   /// Gauges: per-processor issued slots (cumulative; reset each region, the
   /// profiler clamps the restart), then aggregate ready streams, blocked

@@ -107,7 +107,7 @@ Cycle SmpMachine::simulate(std::vector<ThreadState*>& threads) {
   bus_free_ = 0;
   live_ = static_cast<i64>(threads_.size());
   region_end_ = 0;
-  AG_CHECK(events_.empty(), "stale events from a previous region");
+  events_.start_region();
 
   std::vector<u32> assigned(config_.processors, 0);
   for (u32 tid = 0; tid < threads_.size(); ++tid) {

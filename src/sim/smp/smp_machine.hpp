@@ -92,6 +92,7 @@ class SmpMachine final : public Machine {
   double clock_hz() const override { return config_.clock_hz; }
   i64 concurrency() const override { return config_.processors; }
   const SmpConfig& config() const { return config_; }
+  u64 event_heap_pushes() const override { return events_.heap_pushes(); }
 
   /// Gauges: per-processor cycles spent waiting at barriers (cumulative;
   /// accumulates across regions), then the instantaneous count of threads

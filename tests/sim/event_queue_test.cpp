@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/prng.hpp"
@@ -85,39 +87,108 @@ class ReferenceQueue {
 TEST(EventQueue, DifferentialAgainstReferenceModel) {
   // Random mixed push/pop workload shaped like the simulators': most pushes
   // land at or near the current time (exercising the same-cycle fast path
-  // and its interaction with same-time heap entries), a few far ahead.
+  // and its interaction with same-time heap entries), a few far ahead. One
+  // queue serves several region epochs, as a machine's does: each epoch
+  // drains, re-anchors, and restarts time at 0 against a fresh reference.
   Prng rng(0xec1122u);
   EventQueue q;
-  ReferenceQueue ref;
-  Cycle now = 0;
   u32 next_kind = 1;
-  for (int step = 0; step < 20000; ++step) {
-    if (!q.empty() && rng.below(100) < 55) {
+  for (int epoch = 0; epoch < 4; ++epoch) {
+    q.start_region();
+    ReferenceQueue ref;
+    Cycle now = 0;
+    for (int step = 0; step < 5000; ++step) {
+      if (!q.empty() && rng.below(100) < 55) {
+        const Event a = q.pop();
+        const Event b = ref.pop();
+        ASSERT_EQ(a.time, b.time) << "epoch " << epoch << " step " << step;
+        ASSERT_EQ(a.kind, b.kind) << "epoch " << epoch << " step " << step;
+        ASSERT_EQ(a.payload, b.payload)
+            << "epoch " << epoch << " step " << step;
+        now = a.time;
+      } else {
+        const u64 roll = rng.below(100);
+        Cycle time = now;
+        if (roll >= 60) time = now + rng.below(5);          // near future
+        if (roll >= 90) time = now + 100 + rng.below(500);  // far future
+        if (roll < 3 && now > 0) time = now - 1;            // past (legal)
+        const u32 kind = next_kind++;
+        q.push(time, kind, kind * 3);
+        ref.push(time, kind, kind * 3);
+      }
+      ASSERT_EQ(q.empty(), ref.empty());
+    }
+    while (!q.empty()) {
       const Event a = q.pop();
       const Event b = ref.pop();
-      ASSERT_EQ(a.time, b.time) << "step " << step;
-      ASSERT_EQ(a.kind, b.kind) << "step " << step;
-      ASSERT_EQ(a.payload, b.payload) << "step " << step;
-      now = a.time;
-    } else {
-      const u64 roll = rng.below(100);
-      Cycle time = now;
-      if (roll >= 60) time = now + rng.below(5);          // near future
-      if (roll >= 90) time = now + 100 + rng.below(500);  // far future
-      if (roll < 3 && now > 0) time = now - 1;            // past (legal)
-      const u32 kind = next_kind++;
-      q.push(time, kind, kind * 3);
-      ref.push(time, kind, kind * 3);
+      ASSERT_EQ(a.time, b.time) << "epoch " << epoch;
+      ASSERT_EQ(a.kind, b.kind) << "epoch " << epoch;
     }
-    ASSERT_EQ(q.empty(), ref.empty());
+    EXPECT_TRUE(ref.empty());
   }
-  while (!q.empty()) {
-    const Event a = q.pop();
-    const Event b = ref.pop();
-    ASSERT_EQ(a.time, b.time);
-    ASSERT_EQ(a.kind, b.kind);
+}
+
+TEST(EventQueue, RegionRestartStaysOffTheHeap) {
+  // Every run_region() restarts simulated time at 0. A long first region
+  // followed by shorter ones (Shiloach-Vishkin's graft/shortcut rounds) must
+  // find the same FIFO and bucket fast paths as the first: start_region()
+  // re-anchors the window, so no event of a later epoch is a "past" push.
+  // Each event spawns one successor at the same cycle or a bounded latency
+  // ahead, the way ready/issue/complete chains do.
+  EventQueue q;
+  auto run_epoch = [&q](Cycle horizon, u32 seed) {
+    Prng rng(seed);
+    ReferenceQueue ref;
+    for (u32 s = 0; s < 64; ++s) {  // region fork: one event per stream
+      q.push(8, s, s);
+      ref.push(8, s, s);
+    }
+    u32 next_kind = 64;
+    while (!q.empty()) {
+      const Event a = q.pop();
+      const Event b = ref.pop();
+      ASSERT_EQ(a.time, b.time);
+      ASSERT_EQ(a.kind, b.kind);
+      if (a.time >= horizon) continue;
+      const Cycle t = rng.below(2) == 0 ? a.time : a.time + 1 + rng.below(100);
+      q.push(t, next_kind, 0);
+      ref.push(t, next_kind, 0);
+      ++next_kind;
+    }
+    EXPECT_TRUE(ref.empty());
+  };
+
+  q.start_region();
+  run_epoch(20000, 1);  // the long first region: times run past 10 000
+  for (u32 epoch = 0; epoch < 3; ++epoch) {
+    const u64 before = q.heap_pushes();
+    q.start_region();
+    run_epoch(2000, 2 + epoch);
+    EXPECT_EQ(q.heap_pushes(), before) << "epoch " << epoch + 1;
   }
-  EXPECT_TRUE(ref.empty());
+}
+
+TEST(EventQueue, StartRegionRejectsPendingEvents) {
+  EventQueue q;
+  q.push(3, 1, 0);
+  try {
+    q.start_region();
+    FAIL() << "expected throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("stale events"), std::string::npos);
+  }
+}
+
+TEST(EventQueue, HeapPushesCountOnlyTheOverflowLevel) {
+  constexpr Cycle kWin = static_cast<Cycle>(EventQueue::kBuckets);
+  EventQueue q;
+  q.push(0, 1, 0);     // same-cycle FIFO
+  q.push(5, 2, 0);     // bucket wheel
+  q.push(kWin, 3, 0);  // beyond the window: heap
+  EXPECT_EQ(q.heap_pushes(), 1u);
+  while (!q.empty()) (void)q.pop();
+  q.push(kWin - 1, 4, 0);  // the past, relative to now_ = kWin: heap
+  EXPECT_EQ(q.heap_pushes(), 2u);
 }
 
 TEST(EventQueue, DifferentialAcrossBucketWindowBoundary) {

@@ -50,7 +50,9 @@ EOF
 echo "== simulator hot-path bench (quick scale, JSON schema only) =="
 # Host timings are advisory on shared runners, so nothing here gates on a
 # speed number: the gate is that the bench runs every series and emits a
-# well-formed BENCH_host_sim.json that bench_diff can consume.
+# well-formed BENCH_host_sim.json that bench_diff can consume. One gate is
+# deterministic: event_queue/region_restart (a long region, then shorter
+# ones restarting at time 0) must schedule nothing on the overflow heap.
 ARCHGRAPH_BENCH_SCALE=quick ARCHGRAPH_BENCH_JSON="$OUT_DIR" \
     "$BUILD_DIR"/bench/micro_sim_hotpath >/dev/null
 python3 - "$OUT_DIR/BENCH_host_sim.json" <<'EOF'
@@ -70,8 +72,13 @@ for r in records:
     for key in ("benchmark", "ops", "seconds", "ops_per_sec"):
         assert key in r, f"record missing {key}: {r.keys()}"
     assert r["ops"] > 0 and r["seconds"] > 0 and r["ops_per_sec"] > 0, r
+restart = [r for r in records if r["benchmark"] == "event_queue/region_restart"]
+assert len(restart) == 1, f"no event_queue/region_restart in {sorted(names)}"
+assert restart[0].get("heap_pushes") == 0, \
+    f"region restarts leaked to the overflow heap: {restart[0]}"
 
-print(f"ok: {len(records)} hot-path series, schema complete")
+print(f"ok: {len(records)} hot-path series, schema complete, "
+      "region restarts stay off the heap")
 EOF
 "$BUILD_DIR"/tools/bench_diff "$OUT_DIR/BENCH_host_sim.json" \
     "$OUT_DIR/BENCH_host_sim.json" --min-speedup 1.0 \
