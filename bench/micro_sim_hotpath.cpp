@@ -10,6 +10,7 @@
 // simulated instruction, so ops_per_sec is host instructions/sec — compare
 // two runs with tools/bench_diff). Event-queue and machine records also
 // carry heap_pushes, the events that took the queue's overflow heap.
+#include <algorithm>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -257,6 +258,12 @@ int main() {
   results.push_back(bench_machine_cell("smp/fig1", "lr_hj",
                                        "smp:procs=4,l2_kb=512", layout, cell_n,
                                        0, cell_reps));
+  // smp/fig1's list barely leaves the simulated L2; a 16x longer one makes
+  // nearly every pointer chase a line fill, so the miss and coherence paths
+  // dominate. Fewer reps: each one is 16x the work.
+  results.push_back(bench_machine_cell(
+      "smp/fig1_l2miss", "lr_hj", "smp:procs=4,l2_kb=512", layout,
+      16 * cell_n, 0, std::max<u64>(cell_reps / 4, 1)));
   results.push_back(bench_machine_cell("smp/fig2", "cc_sv_smp",
                                        "smp:procs=4,l2_kb=512", layout, cc_n,
                                        8 * cc_n, cell_reps));

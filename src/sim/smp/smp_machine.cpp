@@ -76,6 +76,14 @@ Cycle SmpMachine::simulate(std::vector<ThreadState*>& threads) {
   threads_ = threads;
   // Caches and the directory stay warm across regions (phases of one
   // algorithm see each other's cached data); per-region clocks restart.
+  // Simulated memory grows only between regions (host-side allocation), so
+  // growing the directory here covers every line a region can touch.
+  const u64 lines = (static_cast<u64>(memory_.size_words()) * kWordBytes +
+                     config_.line_bytes - 1) /
+                    config_.line_bytes;
+  if (directory_.size() < lines) {
+    directory_.resize(lines, 0);
+  }
   // Flat ring arena: one power-of-two ready window per processor. Threads
   // map round-robin, so each ring holds at most the processor's thread
   // share (a thread is either running or queued, never both). Grow-only,
@@ -273,11 +281,7 @@ Cycle SmpMachine::bus_transaction(Cycle request, Cycle occupancy) {
 }
 
 void SmpMachine::invalidate_remote(u64 line, u32 writer) {
-  const auto it = directory_.find(line);
-  if (it == directory_.end()) {
-    return;
-  }
-  const u32 mask = it->second;
+  u32& mask = sharers(line);
   for (u32 j = 0; j < config_.processors; ++j) {
     if (j == writer || (mask & (u32{1} << j)) == 0) {
       continue;
@@ -289,7 +293,7 @@ void SmpMachine::invalidate_remote(u64 line, u32 writer) {
       ++stats_.interventions;
     }
   }
-  it->second = u32{1} << writer;
+  mask = u32{1} << writer;
 }
 
 Cycle SmpMachine::data_access_cost(Processor& proc, u32 proc_id,
@@ -303,8 +307,7 @@ Cycle SmpMachine::data_access_cost(Processor& proc, u32 proc_id,
   // invalidation, and loads dominate the kernels' access mix.
   auto coherence = [&]() -> Cycle {
     if (!write) return 0;
-    const auto it = directory_.find(line);
-    if (it != directory_.end() && (it->second & ~my_bit) != 0) {
+    if ((sharers(line) & ~my_bit) != 0) {
       invalidate_remote(line, proc_id);
       return config_.coherence_penalty;
     }
@@ -355,7 +358,7 @@ Cycle SmpMachine::data_access_cost(Processor& proc, u32 proc_id,
   }
   const Cycle bus_start =
       bus_transaction(start + config_.l2_latency, config_.bus_occupancy);
-  directory_[line] |= my_bit;
+  sharers(line) |= my_bit;
   if (write) {
     // Store-buffer semantics: the CPU retires the store without waiting for
     // the line; bandwidth and coherence were charged above/below. At most
@@ -449,7 +452,7 @@ Cycle SmpMachine::execute_op(u32 tid, Cycle start) {
         procs_[j].l1.invalidate(line);
         procs_[j].l2.invalidate(line);
       }
-      directory_.erase(line);
+      sharers(line) = 0;
       const Cycle bus_start = bus_transaction(start, config_.bus_occupancy);
       // Queueing for the locked bus is contention; the RMW itself is one
       // issue slot plus the lock-held spin the core cannot overlap.

@@ -156,6 +156,12 @@ class SmpMachine final : public Machine {
   void settle(Processor& proc, Cycle t);
   Cycle bus_transaction(Cycle request, Cycle occupancy);
   void invalidate_remote(u64 line, u32 writer);
+  /// Sharer bitmask of `line`: bit p set when processor p may hold it.
+  u32& sharers(u64 line) {
+    AG_DCHECK(line < directory_.size(),
+              "coherence directory does not cover the line");
+    return directory_[line];
+  }
   void apply_data_effect(Operation& op);
   void barrier_arrive(u32 tid, Cycle arrival);
   void maybe_release_barrier();
@@ -168,7 +174,10 @@ class SmpMachine final : public Machine {
   std::vector<ThreadState*> threads_;
   std::vector<Processor> procs_;
   std::vector<u32> ring_arena_;  // backs every processor's ready ring
-  std::unordered_map<u64, u32> directory_;  // line -> sharer bitmask
+  // Coherence directory: one sharer bitmask per line of simulated memory,
+  // indexed by line number (0 = no sharer). Sized at each region start and
+  // never shrunk; like the caches it stays warm across regions.
+  std::vector<u32> directory_;
   std::unordered_map<Addr, std::deque<u32>> sync_waiters_;
   std::vector<std::pair<u32, Cycle>> barrier_waiting_;  // (tid, arrival)
   Cycle barrier_max_arrival_ = 0;

@@ -226,6 +226,36 @@ TEST(SmpMachine, DeterministicAcrossRuns) {
   EXPECT_EQ(run(), run());
 }
 
+TEST(SmpMachine, DirectoryCoversMemoryAllocatedBetweenRegions) {
+  // The coherence directory is sized from SimMemory at each region start.
+  // Region 1 runs on a small array; the host then allocates a new one, and
+  // in region 2 four processors write-share every line of it. A directory
+  // that was not grown indexes past its end here (caught by AG_DCHECK in
+  // debug builds and by the ARCHGRAPH_SANITIZE build).
+  SmpConfig cfg;
+  cfg.processors = 4;
+  SmpMachine m(cfg);
+  SimArray<i64> first(m.memory(), 64);
+  m.spawn(writer_kernel, first, i64{0}, i64{64});
+  m.spawn(writer_kernel, first, i64{0}, i64{64});
+  m.run_region();
+  const i64 first_invalidations = m.stats().invalidations;
+
+  SimArray<i64> grown(m.memory(), 4096);
+  for (i64 t = 0; t < 4; ++t) {
+    m.spawn(writer_kernel, grown, i64{0}, i64{4096});
+  }
+  m.run_region();
+  EXPECT_EQ(m.stats().regions, 2);
+  for (i64 i = 0; i < grown.size(); ++i) {
+    ASSERT_EQ(grown.get(i), i);
+  }
+  EXPECT_EQ(first_invalidations, 24);
+  EXPECT_EQ(m.stats().invalidations - first_invalidations, 12292);
+  EXPECT_EQ(m.stats().interventions, 12316);
+  EXPECT_EQ(m.cycles(), 137728);
+}
+
 TEST(SmpMachine, RejectsTooManyProcessors) {
   SmpConfig cfg;
   cfg.processors = 33;

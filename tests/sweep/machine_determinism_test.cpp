@@ -7,6 +7,7 @@
 // the goldens.
 #include <gtest/gtest.h>
 
+#include "sim/machine_spec.hpp"
 #include "sim/stats.hpp"
 #include "sweep/registry.hpp"
 #include "sweep/runner.hpp"
@@ -93,6 +94,57 @@ TEST(MachineDeterminism, ProfilerAttachmentKeepsTheGoldens) {
     const ResultRecord r = to_record(run_cell(plan.cells[0], profiled));
     EXPECT_EQ(r.cycles, g.cycles) << g.spec;
     EXPECT_EQ(r.breakdown, expected_breakdown(g)) << g.spec;
+  }
+}
+
+/// The SMP's coherence counters never reach a result record (only cycles
+/// do), so the tol-0 grids cannot see a directory or cache change that moves
+/// them alone. Pinned here from machine.stats(): a list-ranking cell (random
+/// pointer chases), a Shiloach-Vishkin cell (D[D[v]] write sharing) and a
+/// coloring cell (fetch-add frontier appends, which clear a line's sharers).
+/// l2_kb=64 pushes each working set past the L2 so fills, evictions and
+/// writebacks all happen.
+struct CoherenceGolden {
+  const char* spec;
+  i64 invalidations;
+  i64 interventions;
+  i64 writebacks;
+  i64 mem_fills;
+  i64 l1_hits;
+  i64 l2_hits;
+  sim::Cycle bus_busy;
+  sim::Cycle cycles;
+};
+
+TEST(MachineDeterminism, SmpCoherenceCountersArePinned) {
+  const std::vector<CoherenceGolden> goldens = {
+      {"kernel=lr_hj machine=smp:procs=4,l2_kb=64 n=16384 layout=random",
+       22302, 11329, 20167, 52295, 105794, 6013, 869736, 2304624},
+      {"kernel=cc_sv_smp machine=smp:procs=4,l2_kb=64 n=2048 m=16384 "
+       "layout=random",
+       5985, 1742, 9, 39809, 511171, 23251, 478392, 2423383},
+      {"kernel=color_greedy_smp machine=smp:procs=4,l2_kb=64 n=2048 m=16384 "
+       "layout=random",
+       6767, 5561, 2400, 35126, 264618, 15998, 788952, 2900892},
+  };
+  for (const CoherenceGolden& g : goldens) {
+    const SweepPlan plan = expand_all({g.spec});
+    ASSERT_EQ(plan.cells.size(), 1u) << g.spec;
+    const SweepCell& cell = plan.cells[0];
+    const KernelInfo& info = find_kernel(cell.kernel);
+    const auto machine = sim::make_machine(cell.machine);
+    EXPECT_TRUE(
+        info.run(*machine, make_input(info, cell), /*verify=*/true).verified)
+        << g.spec;
+    const sim::MachineStats& s = machine->stats();
+    EXPECT_EQ(s.invalidations, g.invalidations) << g.spec;
+    EXPECT_EQ(s.interventions, g.interventions) << g.spec;
+    EXPECT_EQ(s.writebacks, g.writebacks) << g.spec;
+    EXPECT_EQ(s.mem_fills, g.mem_fills) << g.spec;
+    EXPECT_EQ(s.l1_hits, g.l1_hits) << g.spec;
+    EXPECT_EQ(s.l2_hits, g.l2_hits) << g.spec;
+    EXPECT_EQ(s.bus_busy, g.bus_busy) << g.spec;
+    EXPECT_EQ(s.cycles, g.cycles) << g.spec;
   }
 }
 

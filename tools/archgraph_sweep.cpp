@@ -196,18 +196,22 @@ int run_run(const std::vector<std::string>& args) {
                      obs::telemetry::fd_is_tty(fileno(stderr)));
   }
 
-  // Stream each cell's record as it finishes — a killed sweep still leaves
-  // the completed prefix on disk. Emission is in plan order even under
-  // --jobs N, so this output is byte-identical for every N. The progress
-  // reporter is driven from the same serialized in-order callback, so its
-  // stderr lines cannot interleave with the JSONL stream.
+  // Stream each cell's record as it finishes: one whole line per record,
+  // flushed at once, so a killed sweep still leaves the completed prefix on
+  // disk with no torn line. Emission is in plan order even under --jobs N,
+  // so this output is byte-identical for every N. The progress reporter is
+  // driven from the same serialized in-order callback, so its stderr lines
+  // cannot interleave with the JSONL stream.
   Timer timer;
   const sweep::PlanRun run = sweep::run_plan(
       plan, options,
       [&](const sweep::CellResult& r, usize index, usize total) {
         (void)index;
         (void)total;
-        out << sweep::record_json(sweep::to_record(r)) << '\n';
+        const std::string line =
+            sweep::record_json(sweep::to_record(r)) + '\n';
+        out.write(line.data(), static_cast<std::streamsize>(line.size()));
+        out.flush();
         if (reporter) reporter->advance(r.cell.run_id(), timer.seconds());
       });
   if (reporter) reporter->finish();

@@ -72,6 +72,8 @@ for r in records:
     for key in ("benchmark", "ops", "seconds", "ops_per_sec"):
         assert key in r, f"record missing {key}: {r.keys()}"
     assert r["ops"] > 0 and r["seconds"] > 0 and r["ops_per_sec"] > 0, r
+assert "machine/smp/fig1_l2miss" in names, \
+    f"no machine/smp/fig1_l2miss series in {sorted(names)}"
 restart = [r for r in records if r["benchmark"] == "event_queue/region_restart"]
 assert len(restart) == 1, f"no event_queue/region_restart in {sorted(names)}"
 assert restart[0].get("heap_pushes") == 0, \
@@ -297,6 +299,47 @@ if "$BUILD_DIR"/tools/archgraph_sweep verify-manifest \
   exit 1
 fi
 echo "ok: corrupted manifest hash rejected"
+
+echo "== killed sweep keeps its completed prefix (kill -9 mid-run) =="
+# Records are flushed one whole line at a time at the in-order emit point.
+# A multi-cell run is killed with SIGKILL once its --out file holds two
+# records (the wait polls the file's content, not a timer); every line left
+# on disk must parse and equal the same line of an uninterrupted run.
+KILL_SPEC="kernel=lr_hj machine=smp:procs={1,2,4,8},l2_kb=512"
+KILL_SPEC+=" layout={ordered,random} n=262144 seed={1,2,3,4}"
+line_count() { if [ -f "$1" ]; then wc -l < "$1"; else echo 0; fi; }
+"$BUILD_DIR"/tools/archgraph_sweep run "$KILL_SPEC" --jobs 2 --no-progress \
+    --out "$OUT_DIR/kill_full.jsonl" 2>/dev/null
+"$BUILD_DIR"/tools/archgraph_sweep run "$KILL_SPEC" --jobs 2 --no-progress \
+    --out "$OUT_DIR/kill_cut.jsonl" 2>/dev/null &
+KILL_PID=$!
+while [ "$(line_count "$OUT_DIR/kill_cut.jsonl")" -lt 2 ] &&
+    kill -0 "$KILL_PID" 2>/dev/null; do
+  sleep 0.05
+done
+kill -9 "$KILL_PID" 2>/dev/null || true
+KILL_RC=0
+{ wait "$KILL_PID"; } 2>/dev/null || KILL_RC=$?
+[ "$KILL_RC" -eq 137 ] || {
+  echo "error: the sweep was not killed mid-run (exit $KILL_RC)" >&2
+  exit 1
+}
+python3 - "$OUT_DIR/kill_cut.jsonl" "$OUT_DIR/kill_full.jsonl" <<'EOF'
+import json
+import sys
+
+cut = open(sys.argv[1]).read()
+full = open(sys.argv[2]).read().splitlines()
+assert cut.endswith("\n"), "torn final line in the killed run's --out"
+cut = cut.splitlines()
+assert len(cut) >= 2, f"only {len(cut)} records before the kill"
+assert len(cut) <= len(full), (len(cut), len(full))
+for i, line in enumerate(cut):
+    json.loads(line)
+    assert line == full[i], f"line {i + 1} differs from the uninterrupted run"
+print(f"ok: killed after {len(cut)} of {len(full)} records; every line whole "
+      "and equal to the uninterrupted run's")
+EOF
 
 echo "== cli host metrics (--json splice and --metrics-out file) =="
 "$BUILD_DIR"/tools/archgraph_cli cc --machine mta --n 2048 --json \
