@@ -43,7 +43,20 @@ void validate(const GpuConfig& c) {
                                std::to_string(c.clock_hz) + ")");
 }
 
-GpuMachine::GpuMachine(GpuConfig config) : config_(config) {
+GpuMachine::GpuMachine(GpuConfig config)
+    // Priority order mirrors the occupancy story: if any lane has a memory
+    // round trip in flight, its warp is stalled on latency the scheduler
+    // failed to cover with other warps (coalesce_wait — the serialized
+    // transactions and the unhidden tail are the same shortage); otherwise
+    // parked sync waiters, then barrier waiters, explain the silence; with no
+    // warp holding work at all the slot is idle (launch ramp, admission,
+    // drain, or an unused SM).
+    : Machine({.stall = {CycleCat::kCoalesceWait, CycleCat::kSyncBlocked,
+                         CycleCat::kBarrier, CycleCat::kIdleNoThread},
+               .barrier_latency = config.barrier_overhead,
+               .wake_event = kRetry,
+               .release_event = kRelease}),
+      config_(config) {
   validate(config_);
   const u64 words_per_seg = config_.mem_seg_bytes / kWordBytes;
   if (std::has_single_bit(words_per_seg)) {
@@ -55,57 +68,6 @@ GpuMachine::GpuMachine(GpuConfig config) : config_(config) {
   }
   if (std::has_single_bit(static_cast<u64>(config_.smem_words))) {
     smem_mask_ = config_.smem_words - 1;
-  }
-}
-
-void GpuMachine::settle(Sm& sm, Cycle t) {
-  if (t <= sm.acct_until) {
-    return;  // already attributed (or a past-time event) — nothing to add
-  }
-  // Priority order mirrors the occupancy story: if any lane has a memory
-  // round trip in flight, its warp is stalled on latency the scheduler
-  // failed to cover with other warps (coalesce_wait — the serialized
-  // transactions and the unhidden tail are the same shortage); otherwise
-  // parked sync waiters, then barrier waiters, explain the silence; with no
-  // warp holding work at all the slot is idle (launch ramp, admission,
-  // drain, or an unused SM).
-  CycleCat cat = CycleCat::kIdleNoThread;
-  if (sm.acct_mem > 0) {
-    cat = CycleCat::kCoalesceWait;
-  } else if (sm.acct_sync > 0) {
-    cat = CycleCat::kSyncBlocked;
-  } else if (sm.acct_barrier > 0) {
-    cat = CycleCat::kBarrier;
-  }
-  stats_.breakdown[cat] += t - sm.acct_until;
-  sm.acct_until = t;
-}
-
-void GpuMachine::attribute_upto(Sm& sm, CycleCat cat, Cycle t) {
-  if (t > sm.acct_until) {
-    stats_.breakdown[cat] += t - sm.acct_until;
-    sm.acct_until = t;
-  }
-}
-
-void GpuMachine::acct_complete(u32 tid, Cycle now) {
-  ThreadState* ts = threads_[tid];
-  Sm& sm = sms_[ts->processor];
-  settle(sm, now);
-  switch (ts->pending.kind) {
-    case OpKind::kLoad:
-    case OpKind::kStore:
-    case OpKind::kFetchAdd:
-    case OpKind::kReadFF:
-    case OpKind::kReadFE:
-    case OpKind::kWriteEF:
-      --sm.acct_mem;  // the round trip (or satisfied sync flight) landed
-      break;
-    case OpKind::kBarrier:
-      --sm.acct_barrier;  // the release reached this lane
-      break;
-    default:
-      break;  // compute occupancy: the slots were attributed at issue
   }
 }
 
@@ -122,22 +84,13 @@ bool GpuMachine::smem_probe(Sm& sm, Addr addr, bool fill) {
   return false;
 }
 
-Cycle GpuMachine::simulate(std::vector<ThreadState*>& threads) {
-  // --- reset region state -------------------------------------------------
-  threads_ = threads;
+void GpuMachine::open_region() {
   sms_.assign(config_.processors, Sm{});
   for (Sm& sm : sms_) {
     sm.smem_tags.assign(config_.smem_words, kNoTag);
   }
-  sync_waiters_.clear();
-  barrier_waiting_.clear();
-  release_buf_.clear();
-  barrier_max_arrival_ = 0;
-  live_ = static_cast<i64>(threads_.size());
-  region_end_ = 0;
-  events_.start_region();
 
-  // --- warp formation: consecutive thread ids share a warp; warps map
+  // Warp formation: consecutive thread ids share a warp; warps map
   // round-robin over SMs. Warps beyond the per-SM residency wait for a slot
   // (a CUDA grid launches more blocks than fit; the hardware streams them in
   // as resident blocks retire).
@@ -174,116 +127,80 @@ Cycle GpuMachine::simulate(std::vector<ThreadState*>& threads) {
       sm.admission_queue.push(wid);
     }
   }
-
-  // --- main event loop ----------------------------------------------------
-  if (prof_hook_ != nullptr) {
-    run_events<true>();
-  } else {
-    run_events<false>();
-  }
-
-  AG_CHECK(live_ == 0,
-           "GPU simulation deadlocked: lanes wait on full/empty tags or a "
-           "barrier that can never be satisfied");
-  // Close the accounting: attribute every SM's tail gap up to the region
-  // end, so per-SM attribution totals exactly region_end_ and the region's
-  // breakdown delta sums to processors x cycles.
-  for (Sm& sm : sms_) {
-    if (sm.acct_until > region_end_) {
-      // Only reachable with barrier_overhead == 0: the last arrival's issue
-      // slot extends one cycle past the release that ended the region. Clip
-      // the overrun so attribution matches the region span exactly.
-      stats_.breakdown[CycleCat::kIssued] -= sm.acct_until - region_end_;
-      sm.acct_until = region_end_;
-    }
-    settle(sm, region_end_);
-  }
-  // threads_ holds raw pointers into the caller's region-local vector, which
-  // dies when run_region() returns; drop them so hooks sampling between
-  // regions never dereference freed ThreadStates. sms_ stays: the profiler's
-  // on_prof_region_end still reads the issued gauges, and the next
-  // simulate() reassigns it.
-  threads_.clear();
-  return region_end_;
 }
 
+void GpuMachine::run_events() { run_events_for(*this); }
+
 template <bool Profiled>
-void GpuMachine::run_events() {
-  while (!events_.empty()) {
-    const Event e = events_.pop();
-    if constexpr (Profiled) {
-      prof_hook_->on_advance(*this, e.time);
+void GpuMachine::handle(const Event& e) {
+  switch (static_cast<EventKind>(e.kind)) {
+    case kIssue:
+      handle_issue<Profiled>(static_cast<u32>(e.payload), e.time);
+      break;
+    case kComplete: {
+      // Only satisfied full/empty flights complete one lane at a time now
+      // (their issue interleaves the wake pushes of try_sync, so they
+      // cannot batch); all of them held an in-flight slot.
+      const auto tid = static_cast<u32>(e.payload);
+      acct_complete(tid, e.time);
+      --warps_[tid / config_.warp_width].in_flight;
+      advance_thread(*threads_[tid]);
+      post_advance(tid, e.time);
+      break;
     }
-    switch (static_cast<EventKind>(e.kind)) {
-      case kIssue:
-        handle_issue<Profiled>(static_cast<u32>(e.payload), e.time);
-        break;
-      case kComplete: {
-        // Only satisfied full/empty flights complete one lane at a time now
-        // (their issue interleaves wake_waiters pushes, so they cannot
-        // batch); all of them held an in-flight slot.
-        const auto tid = static_cast<u32>(e.payload);
+    case kRetry:
+      attempt_sync_retry(static_cast<u32>(e.payload), e.time);
+      break;
+    case kBatch: {
+      // A whole compute or global-memory issue group lands together. The
+      // group is exactly the warp's lanes still in kWaitMemory on this op
+      // kind: other lanes either finished, parked on a tag/barrier
+      // (different kind or status), or belong to a different group of this
+      // round (groups are partitioned by kind). Ascending-tid replay
+      // matches the order the per-lane events popped in.
+      //
+      // The per-lane acct_complete/maybe_enqueue_warp calls are hoisted
+      // out of the loop: all group lanes share one SM and one op kind, so
+      // after the first settle every later one is a no-op, and while the
+      // loop runs w.in_flight > 0 (this round's groups land as a unit),
+      // so only the final lane's enqueue attempt could ever fire — made
+      // after the loop instead. on_finish stays inline: it retires warps
+      // and admits queued ones, and that order is observable.
+      const u32 wid = static_cast<u32>(e.payload >> 4);
+      const auto kind = static_cast<OpKind>(e.payload & 0xF);
+      Warp& w = warps_[wid];
+      Ledger& acct = ledgers_[w.sm];
+      settle(acct, e.time);
+      const bool mem = kind == OpKind::kLoad || kind == OpKind::kStore ||
+                       kind == OpKind::kFetchAdd;
+      for (u32 tid = w.first; tid < w.last; ++tid) {
+        if (status_of(tid) != ThreadState::Status::kWaitMemory ||
+            pending_kind(tid) != kind) {
+          continue;
+        }
+        if (mem) {
+          --acct.acct_mem;  // the lane's global round trip landed
+        }
+        --w.in_flight;
+        advance_thread(*threads_[tid]);
+        if (pending_kind(tid) == OpKind::kDone) {
+          on_finish(tid, e.time);
+        } else {
+          set_status(tid, ThreadState::Status::kRunnable);
+        }
+      }
+      maybe_enqueue_warp(wid, e.time);
+      break;
+    }
+    case kRelease:
+      // Barrier lanes never held an in-flight slot (they were masked).
+      for (const auto& [tid, arrival] : release_buf_) {
         acct_complete(tid, e.time);
-        --warps_[tid / config_.warp_width].in_flight;
         advance_thread(*threads_[tid]);
         post_advance(tid, e.time);
-        break;
       }
-      case kRetry:
-        attempt_sync_retry(static_cast<u32>(e.payload), e.time);
-        break;
-      case kBatch: {
-        // A whole compute or global-memory issue group lands together. The
-        // group is exactly the warp's lanes still in kWaitMemory on this op
-        // kind: other lanes either finished, parked on a tag/barrier
-        // (different kind or status), or belong to a different group of this
-        // round (groups are partitioned by kind). Ascending-tid replay
-        // matches the order the per-lane events popped in.
-        //
-        // The per-lane acct_complete/maybe_enqueue_warp calls are hoisted
-        // out of the loop: all group lanes share one SM and one op kind, so
-        // after the first settle every later one is a no-op, and while the
-        // loop runs w.in_flight > 0 (this round's groups land as a unit),
-        // so only the final lane's enqueue attempt could ever fire — made
-        // after the loop instead. on_finish stays inline: it retires warps
-        // and admits queued ones, and that order is observable.
-        const u32 wid = static_cast<u32>(e.payload >> 4);
-        const auto kind = static_cast<OpKind>(e.payload & 0xF);
-        Warp& w = warps_[wid];
-        Sm& sm = sms_[w.sm];
-        settle(sm, e.time);
-        const bool mem = kind == OpKind::kLoad || kind == OpKind::kStore ||
-                         kind == OpKind::kFetchAdd;
-        for (u32 tid = w.first; tid < w.last; ++tid) {
-          if (status_of(tid) != ThreadState::Status::kWaitMemory ||
-              pending_kind(tid) != kind) {
-            continue;
-          }
-          if (mem) {
-            --sm.acct_mem;  // the lane's global round trip landed
-          }
-          --w.in_flight;
-          advance_thread(*threads_[tid]);
-          if (pending_kind(tid) == OpKind::kDone) {
-            on_finish(tid, e.time);
-          } else {
-            set_status(tid, ThreadState::Status::kRunnable);
-          }
-        }
-        maybe_enqueue_warp(wid, e.time);
-        break;
-      }
-      case kRelease:
-        // Barrier lanes never held an in-flight slot (they were masked).
-        for (usize i = 0; i < release_buf_.size(); ++i) {
-          const u32 tid = release_buf_[i];
-          acct_complete(tid, e.time);
-          advance_thread(*threads_[tid]);
-          post_advance(tid, e.time);
-        }
-        release_buf_.clear();
-        break;
-    }
+      release_buf_.clear();
+      break;
   }
 }
 
@@ -349,7 +266,8 @@ void GpuMachine::handle_issue(u32 sm_id, Cycle now) {
 
   // Cycle accounting: classify the silent gap up to this issue round, then
   // claim the round's slots group by group below.
-  settle(sm, now);
+  Ledger& acct = ledgers_[sm_id];
+  settle(acct, now);
 
   runnable_lanes_.clear();
   for (u32 tid = w.first; tid < w.last; ++tid) {
@@ -400,7 +318,7 @@ void GpuMachine::handle_issue(u32 sm_id, Cycle now) {
         for (const u32 tid : group_lanes_) {
           v = std::max(v, std::max<i64>(threads_[tid]->pending.value, 1));
         }
-        attribute_upto(sm, base_cat, t + v);
+        claim(acct, base_cat, t + v);
         stats_.instructions += v;
         sm.issued += v;
         for (const u32 tid : group_lanes_) {
@@ -469,15 +387,15 @@ void GpuMachine::handle_issue(u32 sm_id, Cycle now) {
                                      : static_cast<i64>(segments_.size());
         // One base slot, then the serialized extra transactions, then the
         // serialized extra bank passes.
-        attribute_upto(sm, base_cat, t + 1);
+        claim(acct, base_cat, t + 1);
         if (transactions > 1) {
-          attribute_upto(sm, CycleCat::kCoalesceWait, t + transactions);
+          claim(acct, CycleCat::kCoalesceWait, t + transactions);
         }
         const i64 bank_extra =
             max_bank > 1 ? static_cast<i64>(max_bank) - 1 : 0;
         const Cycle occ = std::max<i64>(transactions, 1) + bank_extra;
         if (bank_extra > 0) {
-          attribute_upto(sm, CycleCat::kBankConflict, t + occ);
+          claim(acct, CycleCat::kBankConflict, t + occ);
         }
         stats_.instructions += 1;
         sm.issued += occ;
@@ -491,27 +409,12 @@ void GpuMachine::handle_issue(u32 sm_id, Cycle now) {
         // within a warp are deterministic.
         for (const u32 tid : group_lanes_) {
           ThreadState* ts = threads_[tid];
-          Operation& op = ts->pending;
-          switch (kind) {
-            case OpKind::kLoad:
-              op.result = memory_.read(op.addr);
-              break;
-            case OpKind::kStore:
-              memory_.write(op.addr, op.value);
-              memory_.set_full(op.addr, true);
-              break;
-            default: {  // kFetchAdd
-              const i64 old = memory_.read(op.addr);
-              memory_.write(op.addr, old + op.value);
-              op.result = old;
-              break;
-            }
-          }
+          apply_data_effect(ts->pending);
           ts->instructions += 1;
           ts->memory_ops += 1;
           set_status(tid, ThreadState::Status::kWaitMemory);
           ++w.in_flight;
-          ++sm.acct_mem;  // round trip in flight until the batch completion
+          ++acct.acct_mem;  // round trip in flight until the batch completion
         }
         // The whole group lands together: its slowest lane's round trip.
         const Cycle done = t + occ +
@@ -528,9 +431,9 @@ void GpuMachine::handle_issue(u32 sm_id, Cycle now) {
         // Tag-bit sync maps to global atomics: one serialized transaction
         // per lane (never coalesced). Satisfied lanes ride the round trip;
         // unsatisfied lanes park masked and re-arbitrate when the tag flips.
-        attribute_upto(sm, base_cat, t + 1);
+        claim(acct, base_cat, t + 1);
         if (lanes > 1) {
-          attribute_upto(sm, CycleCat::kCoalesceWait, t + lanes);
+          claim(acct, CycleCat::kCoalesceWait, t + lanes);
         }
         stats_.instructions += 1;
         sm.issued += lanes;
@@ -539,63 +442,24 @@ void GpuMachine::handle_issue(u32 sm_id, Cycle now) {
         const Cycle group_end = t + lanes;
         for (const u32 tid : group_lanes_) {
           ThreadState* ts = threads_[tid];
-          Operation& op = ts->pending;
           ts->instructions += 1;
           ts->memory_ops += 1;
-          if constexpr (Profiled) {
-            prof_hook_->on_access(op.addr, AccessClass::kRmw,
-                                  kind == OpKind::kWriteEF);
-          }
-          const bool full = memory_.full(op.addr);
-          bool satisfied = false;
-          switch (kind) {
-            case OpKind::kReadFF:
-              if (full) {
-                op.result = memory_.read(op.addr);
-                satisfied = true;
-              }
-              break;
-            case OpKind::kReadFE:
-              if (full) {
-                op.result = memory_.read(op.addr);
-                memory_.set_full(op.addr, false);
-                satisfied = true;
-              }
-              break;
-            default:  // kWriteEF
-              if (!full) {
-                memory_.write(op.addr, op.value);
-                memory_.set_full(op.addr, true);
-                satisfied = true;
-              }
-              break;
-          }
-          if (satisfied) {
-            // A tag flip may unblock waiters of the opposite polarity.
-            if (kind != OpKind::kReadFF) {
-              wake_waiters(op.addr, group_end);
-            }
-            set_status(tid, ThreadState::Status::kWaitMemory);
+          if (try_sync(tid, group_end)) {
+            start_sync_flight(tid, group_end);
             ++w.in_flight;
-            ++sm.acct_mem;
             events_.push(group_end + config_.memory_latency, kComplete, tid);
-          } else {
-            set_status(tid, ThreadState::Status::kWaitSync);
-            sync_waiters_[op.addr].push_back(tid);
-            ++sm.acct_sync;  // parked and masked until a retry succeeds
-          }
+          }  // else parked and masked until a retry succeeds
         }
         t = group_end;
         break;
       }
       case OpKind::kBarrier: {
-        attribute_upto(sm, base_cat, t + 1);
+        claim(acct, base_cat, t + 1);
         stats_.instructions += 1;
         sm.issued += 1;
         for (const u32 tid : group_lanes_) {
           threads_[tid]->instructions += 1;
-          ++sm.acct_barrier;  // parked until the release kComplete
-          barrier_arrive(tid, t + 1);
+          barrier_arrive(tid, t + 1);  // parked until the release
         }
         t += 1;
         break;
@@ -615,107 +479,12 @@ void GpuMachine::handle_issue(u32 sm_id, Cycle now) {
 }
 
 void GpuMachine::attempt_sync_retry(u32 tid, Cycle now) {
-  ThreadState* ts = threads_[tid];
-  Operation& op = ts->pending;
-  Sm& sm = sms_[ts->processor];
-  if (prof_hook_ != nullptr) {
-    // Every retry probes the word again — retry traffic shows up in the
-    // heatmap, exactly as on the MTA.
-    prof_hook_->on_access(op.addr, AccessClass::kRmw,
-                          op.kind == OpKind::kWriteEF);
-  }
-  const bool full = memory_.full(op.addr);
-  bool satisfied = false;
-  switch (op.kind) {
-    case OpKind::kReadFF:
-      if (full) {
-        op.result = memory_.read(op.addr);
-        satisfied = true;
-      }
-      break;
-    case OpKind::kReadFE:
-      if (full) {
-        op.result = memory_.read(op.addr);
-        memory_.set_full(op.addr, false);
-        satisfied = true;
-      }
-      break;
-    case OpKind::kWriteEF:
-      if (!full) {
-        memory_.write(op.addr, op.value);
-        memory_.set_full(op.addr, true);
-        satisfied = true;
-      }
-      break;
-    default:
-      AG_CHECK(false, "attempt_sync_retry() on a non-sync op");
-  }
-
-  if (satisfied) {
-    // Classify the parked gap before the lane moves on: sync -> mem at the
-    // wake time, then the atomic's round trip.
-    settle(sm, now);
-    --sm.acct_sync;
-    ++sm.acct_mem;
-    if (op.kind != OpKind::kReadFF) {
-      wake_waiters(op.addr, now);
-    }
-    set_status(tid, ThreadState::Status::kWaitMemory);
+  // Every retry probes the word again, exactly as on the MTA.
+  if (try_sync(tid, now)) {
+    start_sync_flight(tid, now);
     ++warps_[tid / config_.warp_width].in_flight;
     events_.push(now + config_.memory_latency, kComplete, tid);
-  } else {
-    sync_waiters_[op.addr].push_back(tid);
   }
-}
-
-void GpuMachine::wake_waiters(Addr addr, Cycle now) {
-  const auto it = sync_waiters_.find(addr);
-  if (it == sync_waiters_.end() || it->second.empty()) {
-    return;
-  }
-  // Re-arbitrate every waiter in FIFO order; each recheck is another atomic
-  // probe — the retry traffic that makes hotspots hurt.
-  std::deque<u32> woken = std::move(it->second);
-  sync_waiters_.erase(it);
-  for (const u32 tid : woken) {
-    stats_.sync_retries += 1;
-    events_.push(now, kRetry, tid);
-  }
-}
-
-void GpuMachine::barrier_arrive(u32 tid, Cycle now) {
-  set_status(tid, ThreadState::Status::kWaitBarrier);
-  barrier_waiting_.push_back(tid);
-  barrier_max_arrival_ = std::max(barrier_max_arrival_, now);
-  maybe_release_barrier();
-}
-
-void GpuMachine::maybe_release_barrier() {
-  if (static_cast<i64>(barrier_waiting_.size()) != live_ || live_ == 0) {
-    return;
-  }
-  const Cycle release = barrier_max_arrival_ + config_.barrier_overhead;
-  // Every live lane is parked here, so at most one release is ever in
-  // flight: resume the whole episode with a single kRelease event instead of
-  // one queue entry per lane. run_events() replays release_buf_ in arrival
-  // order, which is exactly the order the per-lane events popped in.
-  AG_DCHECK(release_buf_.empty(), "overlapping barrier releases");
-  for (const u32 tid : barrier_waiting_) {
-    threads_[tid]->pending.result = 0;
-    set_status(tid, ThreadState::Status::kWaitMemory);
-  }
-  release_buf_.swap(barrier_waiting_);  // leaves barrier_waiting_ empty
-  events_.push(release, kRelease, 0);
-  barrier_max_arrival_ = 0;
-  stats_.barriers += 1;
-  // Settle the accounting up to the release before observers snapshot
-  // stats(): every live lane is parked here (nothing is in flight), so the
-  // per-phase breakdown deltas slice exactly at barrier boundaries. The
-  // release event's completions settle no-op and drop the barrier counters.
-  for (Sm& sm : sms_) {
-    settle(sm, release);
-  }
-  notify_barrier_release(release);
 }
 
 std::vector<ProfGaugeInfo> GpuMachine::prof_gauge_info() const {
@@ -748,7 +517,7 @@ void GpuMachine::sample_prof_gauges(i64* out) const {
       // acct_mem counts exactly the lanes in kWaitMemory on a global or
       // satisfied-sync round trip (compute occupancy and barrier releases
       // are charged elsewhere), so summing it replaces the per-thread walk.
-      outstanding += sm.acct_mem;
+      outstanding += ledgers_[p].acct_mem;
     } else {
       out[i++] = 0;
     }
@@ -759,9 +528,7 @@ void GpuMachine::sample_prof_gauges(i64* out) const {
 }
 
 void GpuMachine::on_finish(u32 tid, Cycle now) {
-  set_status(tid, ThreadState::Status::kFinished);
-  --live_;
-  region_end_ = std::max(region_end_, now);
+  retire(tid, now);
   Warp& w = warps_[tid / config_.warp_width];
   --w.live;
   if (w.live == 0 && w.resident) {

@@ -54,11 +54,8 @@
 // stays in [0, 1].
 #pragma once
 
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
-#include "sim/event_queue.hpp"
 #include "sim/machine.hpp"
 #include "sim/ring.hpp"
 
@@ -111,7 +108,6 @@ class GpuMachine final : public Machine {
            config_.warp_width;
   }
   const GpuConfig& config() const { return config_; }
-  u64 event_heap_pushes() const override { return events_.heap_pushes(); }
 
   /// Gauges: per-SM issued warp-instruction slots (cumulative; reset each
   /// region), then aggregate ready warps, blocked warps, and outstanding
@@ -119,10 +115,8 @@ class GpuMachine final : public Machine {
   std::vector<ProfGaugeInfo> prof_gauge_info() const override;
   void sample_prof_gauges(i64* out) const override;
 
- protected:
-  Cycle simulate(std::vector<ThreadState*>& threads) override;
-
  private:
+  friend class Machine;  // runs handle<Profiled>() from its event loop
   // kBatch resumes a whole issue group (payload = warp id << 4 | OpKind) with
   // one event instead of one per lane; kRelease resumes a barrier episode
   // from release_buf_. Both replay their lanes in ascending-tid order, which
@@ -149,43 +143,21 @@ class GpuMachine final : public Machine {
 
     // Scratchpad tag array (timing only; data lives in SimMemory).
     std::vector<Addr> smem_tags;
-
-    // Cycle accounting: slots in [0, acct_until) are attributed; the wait
-    // counters classify the gap up to the next transition (settle()).
-    Cycle acct_until = 0;
-    i32 acct_mem = 0;      // lanes with a global round trip in flight
-    i32 acct_sync = 0;     // lanes parked on a full/empty tag
-    i32 acct_barrier = 0;  // lanes waiting at the barrier
   };
 
-  // Per-region simulation helpers (operate on region_ state).
-  /// The event loop, instantiated once with the per-pop profiler call and
-  /// once without, so unprofiled runs pay no per-event null test.
+  void open_region() override;
+  void run_events() override;
   template <bool Profiled>
-  void run_events();
+  void handle(const Event& e);
   void admit_warp(u32 wid, Cycle now);
   void maybe_enqueue_warp(u32 wid, Cycle now);
-  /// Instantiated per profiling mode by run_events so the per-lane heatmap
+  /// Instantiated per profiling mode by handle() so the per-lane heatmap
   /// hook calls compile out of unprofiled runs entirely.
   template <bool Profiled>
   void handle_issue(u32 sm_id, Cycle now);
   void post_advance(u32 tid, Cycle now);
   void on_finish(u32 tid, Cycle now);
   void attempt_sync_retry(u32 tid, Cycle now);
-  void wake_waiters(Addr addr, Cycle now);
-  void barrier_arrive(u32 tid, Cycle now);
-  void maybe_release_barrier();
-  /// Cycle accounting: attributes the unaccounted slots [acct_until, t) of
-  /// `sm` to the stall category its wait counters imply, then advances
-  /// acct_until. A no-op when t <= acct_until (past-time events).
-  void settle(Sm& sm, Cycle t);
-  /// Claims the unaccounted slots up to `t` as `cat` occupancy. Clamped so
-  /// acct_until never moves backward — no slot is attributed twice even when
-  /// a barrier release replays resumed warps at already-settled times.
-  void attribute_upto(Sm& sm, CycleCat cat, Cycle t);
-  /// Settles the completing thread's SM at `now` and releases the wait
-  /// counter its pre-advance pending op held.
-  void acct_complete(u32 tid, Cycle now);
   /// Scratchpad probe: true when `addr` currently tags its slot on `sm`
   /// (loads/stores only; misses fill the slot).
   bool smem_probe(Sm& sm, Addr addr, bool fill);
@@ -209,18 +181,10 @@ class GpuMachine final : public Machine {
   u32 bank_mask_ = 0;  // smem_banks - 1 when pow2, else 0 (use modulo)
   u32 smem_mask_ = 0;  // smem_words - 1 when pow2, else 0 (use modulo)
 
-  // Region-scoped state (reset by simulate()).
-  std::vector<ThreadState*> threads_;
+  // Region-scoped state (reset by open_region()).
   std::vector<Sm> sms_;
   std::vector<Warp> warps_;
   std::vector<u32> ring_arena_;  // backs every SM's two rings
-  std::unordered_map<Addr, std::deque<u32>> sync_waiters_;
-  std::vector<u32> barrier_waiting_;
-  std::vector<u32> release_buf_;  // lanes resumed by the pending kRelease
-  Cycle barrier_max_arrival_ = 0;
-  i64 live_ = 0;
-  Cycle region_end_ = 0;
-  EventQueue events_;
 
   // Scratch buffers reused across issue rounds (kept out of the hot loop).
   std::vector<u32> runnable_lanes_;

@@ -1,4 +1,5 @@
-// Abstract machine: the surface shared by the MTA and SMP models.
+// Abstract machine: the surface shared by the MTA, SMP and GPU models, and
+// the machine core they all simulate on (see "Machine core" below).
 //
 // Usage pattern (one parallel phase = one region):
 //
@@ -12,15 +13,30 @@
 // paper's clock would have measured must run inside a region. Cycles and
 // statistics accumulate across regions so a multi-phase algorithm reports one
 // total, exactly like wall-clock timing around the whole computation.
+//
+// Machine core. The paper tells the machines apart by how they issue
+// instructions and how their memory behaves; what synchronization *means*
+// is the same on all of them, only its cost differs. So Machine owns the
+// region machinery every model shares: the region's threads and event
+// queue, full/empty semantics with one FIFO waiter list per word, barrier
+// episodes, the per-processor cycle ledgers, and the region prologue and
+// epilogue (reset, deadlock check, ledger close). A machine supplies its
+// issue loop and memory model, plus three pieces of data and code fixed at
+// construction: the stall category of each ledger state, the barrier
+// release latency, and how a released barrier resumes its threads.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/memory.hpp"
 #include "sim/stats.hpp"
 #include "sim/task.hpp"
@@ -129,7 +145,7 @@ class Machine {
 
   /// Host-side diagnostic: pushes that took the event queue's overflow heap
   /// so far (EventQueue::heap_pushes). Not simulated state; never serialized.
-  virtual u64 event_heap_pushes() const = 0;
+  u64 event_heap_pushes() const { return events_.heap_pushes(); }
 
   /// Simulated wall-clock seconds so far (cycles / clock rate).
   double seconds() const { return static_cast<double>(cycles()) / clock_hz(); }
@@ -204,27 +220,182 @@ class Machine {
   virtual void sample_prof_gauges(i64* out) const { (void)out; }
 
  protected:
-  Machine() = default;
+  /// One processor's cycle ledger. Slots in [0, acct_until) are attributed;
+  /// the wait counters classify the gap up to the next transition (settle()).
+  struct Ledger {
+    Cycle acct_until = 0;
+    i32 acct_mem = 0;      // threads with a memory or sync round trip in flight
+    i32 acct_sync = 0;     // threads parked on a full/empty tag
+    i32 acct_barrier = 0;  // threads waiting at the barrier
+  };
 
-  /// Machine models call this when a barrier episode releases (from their
-  /// maybe_release_barrier), after stats_.barriers is bumped.
-  void notify_barrier_release(Cycle region_cycle) {
-    if (observer_ != nullptr) {
-      observer_->on_barrier_release(*this, region_cycle);
+  /// What a machine tells the core at construction.
+  struct CoreParams {
+    /// The category of a silent ledger gap, by priority: some thread has a
+    /// round trip in flight, else one is parked on a tag, else one waits at
+    /// the barrier, else the processor holds no work.
+    std::array<CycleCat, 4> stall{};
+    /// Cycles from the last barrier arrival to the release.
+    Cycle barrier_latency = 0;
+    /// Event kind a woken full/empty waiter is queued with (payload: tid).
+    u32 wake_event = 0;
+    /// Event kind of a barrier release under the default resume_barrier().
+    u32 release_event = 0;
+  };
+
+  explicit Machine(const CoreParams& core) : core_(core) {}
+
+  // --- what each machine supplies ----------------------------------------
+
+  /// Machine-specific region start: resets the issue and memory model and
+  /// admits threads_ at the fork time. The shared region state (ledgers,
+  /// waiters, barrier episode, event queue) is already reset.
+  virtual void open_region() = 0;
+  /// Runs the event queue dry. Every machine implements it as
+  /// run_events_for(*this) over its own `handle<Profiled>(const Event&)`.
+  virtual void run_events() = 0;
+  /// Resumes a released barrier episode: the threads in release_buf_, in
+  /// arrival order. The default (MTA, GPU) marks them in flight and pushes
+  /// one CoreParams::release_event at `release`; the machine replays
+  /// release_buf_ when that event pops. The SMP resumes inline instead.
+  virtual void resume_barrier(Cycle release);
+
+  /// The event loop, instantiated once with the per-pop profiler call and
+  /// once without, so unprofiled runs pay no per-event null test. M::handle
+  /// is the machine's event switch; it is not virtual.
+  template <typename M>
+  void run_events_for(M& machine) {
+    if (prof_hook_ != nullptr) {
+      drain<true>(machine);
+    } else {
+      drain<false>(machine);
     }
   }
 
-  /// Machine-specific simulation of one region. `threads` are freshly bound
-  /// coroutines suspended before their first operation, indexed by thread
-  /// id. Must return the region's span in cycles and leave every thread
-  /// Finished.
-  virtual Cycle simulate(std::vector<ThreadState*>& threads) = 0;
+  // --- cycle ledger ------------------------------------------------------
+
+  /// Attributes the unaccounted slots [acct_until, t) of `l` to the stall
+  /// category its wait counters imply, then advances acct_until. A no-op
+  /// when t <= acct_until (past-time events).
+  void settle(Ledger& l, Cycle t) {
+    if (t <= l.acct_until) {
+      return;  // already attributed (or a past-time event) — nothing to add
+    }
+    const usize state = l.acct_mem > 0       ? 0
+                        : l.acct_sync > 0    ? 1
+                        : l.acct_barrier > 0 ? 2
+                                             : 3;
+    stats_.breakdown[core_.stall[state]] += t - l.acct_until;
+    l.acct_until = t;
+  }
+
+  /// Claims the unaccounted slots up to `t` as `cat` occupancy. Clamped:
+  /// when a barrier released by a late finish replays resumed threads at
+  /// already-settled times, only the unclaimed tail is charged — acct_until
+  /// never moves backward, so no slot is attributed twice.
+  void claim(Ledger& l, CycleCat cat, Cycle t) {
+    if (t > l.acct_until) {
+      stats_.breakdown[cat] += t - l.acct_until;
+      l.acct_until = t;
+    }
+  }
+
+  /// Settles the completing thread's processor at `now` and releases the
+  /// wait counter its pre-advance pending op held.
+  void acct_complete(u32 tid, Cycle now) {
+    const ThreadState* ts = threads_[tid];
+    Ledger& l = ledgers_[ts->processor];
+    settle(l, now);
+    switch (ts->pending.kind) {
+      case OpKind::kLoad:
+      case OpKind::kStore:
+      case OpKind::kFetchAdd:
+      case OpKind::kReadFF:
+      case OpKind::kReadFE:
+      case OpKind::kWriteEF:
+        --l.acct_mem;  // the round trip (or satisfied sync flight) landed
+        break;
+      case OpKind::kBarrier:
+        --l.acct_barrier;  // the release reached this thread
+        break;
+      default:
+        break;  // compute occupancy: the slots were attributed at issue
+    }
+  }
+
+  // --- memory semantics --------------------------------------------------
+
+  /// The data effect of a load, store or fetch-add, applied when the
+  /// machine services it. A store leaves its word full.
+  void apply_data_effect(Operation& op) {
+    switch (op.kind) {
+      case OpKind::kLoad:
+        op.result = memory_.read(op.addr);
+        break;
+      case OpKind::kStore:
+        memory_.write(op.addr, op.value);
+        memory_.set_full(op.addr, true);
+        break;
+      case OpKind::kFetchAdd: {
+        const i64 old = memory_.read(op.addr);
+        memory_.write(op.addr, old + op.value);
+        op.result = old;
+        break;
+      }
+      default:
+        AG_CHECK(false, "apply_data_effect() on a non-data op");
+    }
+  }
+
+  /// One full/empty probe of tid's pending read_ff/read_fe/write_ef.
+  /// Satisfied: applies the data and tag effect, and a tag flip wakes every
+  /// waiter on the word at `wake_at`, in FIFO order, to re-arbitrate.
+  /// Unsatisfied: parks tid (kWaitSync) at the back of the word's FIFO; a
+  /// thread not already parked opens a sync wait on its ledger. The caller
+  /// books the cost of the probe and, when satisfied, the completion.
+  bool try_sync(u32 tid, Cycle wake_at);
+
+  /// Ledger side of a satisfied probe on a machine whose sync op then flies
+  /// back like a memory op (MTA, GPU): the flight counts as memory in
+  /// flight, and a woken retry first classifies its parked gap up to `now`.
+  /// Marks tid in flight; the caller schedules its completion.
+  void start_sync_flight(u32 tid, Cycle now) {
+    Ledger& l = ledgers_[threads_[tid]->processor];
+    if (status_of(tid) == ThreadState::Status::kWaitSync) {
+      settle(l, now);
+      --l.acct_sync;
+    }
+    ++l.acct_mem;
+    set_status(tid, ThreadState::Status::kWaitMemory);
+  }
+
+  // --- thread lifecycle and barrier episodes ------------------------------
+
+  /// Marks tid finished at `now`. The caller then gives the machine's own
+  /// bookkeeping a turn and calls maybe_release_barrier(): a finished thread
+  /// no longer participates in barriers.
+  void retire(u32 tid, Cycle now) {
+    set_status(tid, ThreadState::Status::kFinished);
+    --live_;
+    region_end_ = std::max(region_end_, now);
+  }
+  /// Parks tid at the barrier (it arrived at `arrival`) and releases the
+  /// episode if every live thread is now parked.
+  void barrier_arrive(u32 tid, Cycle arrival);
+  /// Releases the episode once every live thread is parked at the barrier:
+  /// `release` = last arrival + barrier latency. Settles every ledger to the
+  /// release before observers snapshot stats() — nothing is in flight, so
+  /// per-phase breakdown deltas slice exactly at barrier boundaries — then
+  /// hands the episode to resume_barrier().
+  void maybe_release_barrier();
+  /// Threads parked at the current barrier episode (profiling gauge).
+  usize barrier_parked() const { return barrier_waiting_.size(); }
 
   // --- structure-of-arrays scheduling state, indexed by region-local tid ---
   // The event loops scan status and pending-op kind (warp readiness checks,
   // divergence grouping, gauge sampling); keeping them as dense u8 arrays
   // makes those scans sequential byte reads instead of a pointer chase into
-  // each thread's control block. run_region() sizes both before simulate().
+  // each thread's control block. run_region() sizes both before simulating.
 
   ThreadState::Status status_of(u32 tid) const {
     return static_cast<ThreadState::Status>(thread_status_[tid]);
@@ -251,8 +422,40 @@ class Machine {
   /// notify helper: unprofiled runs pay exactly one null test per site.
   ProfHook* prof_hook_ = nullptr;
 
+  // --- region state, reset at every region start ---------------------------
+  std::vector<ThreadState*> threads_;  // this region's threads, by tid
+  std::vector<Ledger> ledgers_;        // one per processor
+  /// The released episode awaiting resume_barrier(): (tid, arrival) pairs.
+  std::vector<std::pair<u32, Cycle>> release_buf_;
+  EventQueue events_;
+
  private:
   static constexpr usize kStateChunk = 4096;
+
+  template <bool Profiled, typename M>
+  void drain(M& machine) {
+    while (!events_.empty()) {
+      const Event e = events_.pop();
+      if constexpr (Profiled) {
+        prof_hook_->on_advance(*this, e.time);
+      }
+      machine.template handle<Profiled>(e);
+    }
+  }
+
+  /// One region: shared reset, the machine's admission and event loop, the
+  /// deadlock check and the ledger close. Returns the region's span.
+  Cycle simulate();
+
+  CoreParams core_;
+  /// Full/empty waiters: one FIFO of parked tids per word that has any.
+  /// Keyed by address so nothing is sized per simulated word; a wake drains
+  /// and erases the word's whole list.
+  std::unordered_map<Addr, std::vector<u32>> waiters_;
+  std::vector<std::pair<u32, Cycle>> barrier_waiting_;  // (tid, arrival)
+  Cycle barrier_max_arrival_ = 0;
+  i64 live_ = 0;  // threads of this region not yet finished
+  Cycle region_end_ = 0;  // latest finish so far: the region's span
 
   /// Stable backing store for ThreadStates (see spawn()). unique_ptr<T[]>
   /// chunks: addresses never move, slots recycle by index across regions.

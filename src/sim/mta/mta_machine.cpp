@@ -31,59 +31,21 @@ void validate(const MtaConfig& c) {
                                std::to_string(c.clock_hz) + ")");
 }
 
-MtaMachine::MtaMachine(MtaConfig config) : config_(config) {
+MtaMachine::MtaMachine(MtaConfig config)
+    // Priority order mirrors the paper's latency-tolerance story: if any
+    // stream has a memory round trip in flight the processor is covering
+    // latency it failed to hide (no_ready_stream); otherwise parked sync
+    // waiters, then barrier waiters, explain the silence; with no stream
+    // holding work at all the slot is idle (fork ramp, admission, drain, or
+    // an unused processor).
+    : Machine({.stall = {CycleCat::kNoReadyStream, CycleCat::kSyncBlocked,
+                         CycleCat::kBarrier, CycleCat::kIdleNoThread},
+               .barrier_latency = config.barrier_overhead,
+               .wake_event = kRetry,
+               .release_event = kRelease}),
+      config_(config) {
   validate(config_);
   net_half_ = config_.memory_latency / 2;
-}
-
-void MtaMachine::settle(Processor& proc, Cycle t) {
-  if (t <= proc.acct_until) {
-    return;  // already attributed (or a past-time event) — nothing to add
-  }
-  // Priority order mirrors the paper's latency-tolerance story: if any
-  // stream has a memory round trip in flight the processor is covering
-  // latency it failed to hide (no_ready_stream); otherwise parked sync
-  // waiters, then barrier waiters, explain the silence; with no stream
-  // holding work at all the slot is idle (fork ramp, admission, drain, or
-  // an unused processor).
-  CycleCat cat = CycleCat::kIdleNoThread;
-  if (proc.acct_mem > 0) {
-    cat = CycleCat::kNoReadyStream;
-  } else if (proc.acct_sync > 0) {
-    cat = CycleCat::kSyncBlocked;
-  } else if (proc.acct_barrier > 0) {
-    cat = CycleCat::kBarrier;
-  }
-  stats_.breakdown[cat] += t - proc.acct_until;
-  proc.acct_until = t;
-}
-
-void MtaMachine::acct_issue(Processor& proc) {
-  if (proc.clock > proc.acct_until) {
-    stats_.breakdown[CycleCat::kIssued] += proc.clock - proc.acct_until;
-    proc.acct_until = proc.clock;
-  }
-}
-
-void MtaMachine::acct_complete(u32 tid, Cycle now) {
-  ThreadState* ts = threads_[tid];
-  Processor& proc = procs_[ts->processor];
-  settle(proc, now);
-  switch (ts->pending.kind) {
-    case OpKind::kLoad:
-    case OpKind::kStore:
-    case OpKind::kFetchAdd:
-    case OpKind::kReadFF:
-    case OpKind::kReadFE:
-    case OpKind::kWriteEF:
-      --proc.acct_mem;  // the round trip (or satisfied sync flight) landed
-      break;
-    case OpKind::kBarrier:
-      --proc.acct_barrier;  // the release reached this stream
-      break;
-    default:
-      break;  // compute occupancy: the slots were attributed at issue
-  }
 }
 
 usize MtaMachine::bank_of(Addr addr) const {
@@ -98,9 +60,7 @@ usize MtaMachine::bank_of(Addr addr) const {
   return static_cast<usize>(key % banks);
 }
 
-Cycle MtaMachine::simulate(std::vector<ThreadState*>& threads) {
-  // --- reset region state -------------------------------------------------
-  threads_ = threads;
+void MtaMachine::open_region() {
   procs_.assign(config_.processors, Processor{});
   // Flat ring arena: each processor gets two power-of-two windows (ready,
   // admission). Round-robin admission bounds both queues by the processor's
@@ -120,15 +80,8 @@ Cycle MtaMachine::simulate(std::vector<ThreadState*>& threads) {
   }
   bank_free_.assign(
       static_cast<usize>(config_.banks_per_processor) * config_.processors, 0);
-  sync_waiters_.clear();
-  barrier_waiting_.clear();
-  release_buf_.clear();
-  barrier_max_arrival_ = 0;
-  live_ = static_cast<i64>(threads_.size());
-  region_end_ = 0;
-  events_.start_region();
 
-  // --- admission: map threads to processors round-robin; threams beyond the
+  // Admission: map threads to processors round-robin; threads beyond the
   // stream count per processor wait for a slot (the MTA runtime maps threads
   // to streams as they free up).
   for (u32 tid = 0; tid < threads_.size(); ++tid) {
@@ -143,79 +96,42 @@ Cycle MtaMachine::simulate(std::vector<ThreadState*>& threads) {
       proc.admission_queue.push(tid);
     }
   }
-
-  // --- main event loop ----------------------------------------------------
-  if (prof_hook_ != nullptr) {
-    run_events<true>();
-  } else {
-    run_events<false>();
-  }
-
-  AG_CHECK(live_ == 0,
-           "MTA simulation deadlocked: threads wait on full/empty tags or a "
-           "barrier that can never be satisfied");
-  // Close the accounting: attribute every processor's tail gap up to the
-  // region end, so per-processor attribution totals exactly region_end_ and
-  // the region's breakdown delta sums to processors x cycles.
-  for (Processor& proc : procs_) {
-    if (proc.acct_until > region_end_) {
-      // Only reachable with barrier_overhead == 0: the last arrival's issue
-      // slot extends one cycle past the release that ended the region. Clip
-      // the overrun so attribution matches the region span exactly.
-      stats_.breakdown[CycleCat::kIssued] -= proc.acct_until - region_end_;
-      proc.acct_until = region_end_;
-    }
-    settle(proc, region_end_);
-  }
-  // threads_ holds raw pointers into the caller's region-local vector, which
-  // dies when run_region() returns; drop them so hooks sampling between
-  // regions (the next region's on_prof_region_begin) never dereference freed
-  // ThreadStates. procs_ stays: on_prof_region_end still reads the issued
-  // gauges, and the next simulate() reassigns it.
-  threads_.clear();
-  return region_end_;
 }
 
+void MtaMachine::run_events() { run_events_for(*this); }
+
 template <bool Profiled>
-void MtaMachine::run_events() {
-  while (!events_.empty()) {
-    const Event e = events_.pop();
-    if constexpr (Profiled) {
-      prof_hook_->on_advance(*this, e.time);
+void MtaMachine::handle(const Event& e) {
+  switch (static_cast<EventKind>(e.kind)) {
+    case kReady:
+      on_ready(static_cast<u32>(e.payload), e.time);
+      break;
+    case kIssue:
+      handle_issue(static_cast<u32>(e.payload), e.time);
+      break;
+    case kComplete: {
+      const auto tid = static_cast<u32>(e.payload);
+      acct_complete(tid, e.time);
+      advance_thread(*threads_[tid]);
+      post_advance(tid, e.time);
+      break;
     }
-    switch (static_cast<EventKind>(e.kind)) {
-      case kReady:
-        on_ready(static_cast<u32>(e.payload), e.time);
-        break;
-      case kIssue:
-        handle_issue(static_cast<u32>(e.payload), e.time);
-        break;
-      case kComplete: {
-        const auto tid = static_cast<u32>(e.payload);
+    case kRetry:
+      attempt_sync(static_cast<u32>(e.payload), e.time);
+      break;
+    case kRelease:
+      // A barrier-release storm batched into one event: resume every
+      // parked stream in arrival order. The per-thread kComplete events
+      // this replaces were pushed back-to-back (consecutive seqs at one
+      // time), so nothing could ever pop between them — processing the
+      // whole storm in one handler is pop-order-identical.
+      for (const auto& [tid, arrival] : release_buf_) {
         acct_complete(tid, e.time);
         advance_thread(*threads_[tid]);
         post_advance(tid, e.time);
-        break;
       }
-      case kRetry:
-        attempt_sync(static_cast<u32>(e.payload), e.time,
-                     /*first_attempt=*/false);
-        break;
-      case kRelease:
-        // A barrier-release storm batched into one event: resume every
-        // parked stream in arrival order. The per-thread kComplete events
-        // this replaces were pushed back-to-back (consecutive seqs at one
-        // time), so nothing could ever pop between them — processing the
-        // whole storm in one handler is pop-order-identical.
-        for (usize i = 0; i < release_buf_.size(); ++i) {
-          const u32 tid = release_buf_[i];
-          acct_complete(tid, e.time);
-          advance_thread(*threads_[tid]);
-          post_advance(tid, e.time);
-        }
-        release_buf_.clear();
-        break;
-    }
+      release_buf_.clear();
+      break;
   }
 }
 
@@ -251,7 +167,8 @@ void MtaMachine::handle_issue(u32 proc_id, Cycle now) {
 
   // Cycle accounting: classify the silent gap up to this issue, then claim
   // the issue slot(s) — [now, proc.clock) is attributed as issued below.
-  settle(proc, now);
+  Ledger& acct = ledgers_[proc_id];
+  settle(acct, now);
 
   switch (op.kind) {
     case OpKind::kCompute: {
@@ -260,7 +177,7 @@ void MtaMachine::handle_issue(u32 proc_id, Cycle now) {
       stats_.instructions += slots;
       proc.issued += slots;
       ts->instructions += slots;
-      acct_issue(proc);
+      claim(acct, CycleCat::kIssued, proc.clock);
       set_status(tid, ThreadState::Status::kWaitMemory);  // held until t+slots
       events_.push(proc.clock, kComplete, tid);
       break;
@@ -274,8 +191,8 @@ void MtaMachine::handle_issue(u32 proc_id, Cycle now) {
       proc.issued += 1;
       ts->instructions += 1;
       ts->memory_ops += 1;
-      acct_issue(proc);
-      ++proc.acct_mem;  // round trip in flight until kComplete
+      claim(acct, CycleCat::kIssued, proc.clock);
+      ++acct.acct_mem;  // round trip in flight until kComplete
       if (op.kind == OpKind::kLoad) ++stats_.loads;
       if (op.kind == OpKind::kStore) ++stats_.stores;
       if (op.kind == OpKind::kFetchAdd) ++stats_.fetch_adds;
@@ -293,9 +210,8 @@ void MtaMachine::handle_issue(u32 proc_id, Cycle now) {
       proc.issued += 1;
       ts->instructions += 1;
       ts->memory_ops += 1;
-      acct_issue(proc);
-      set_status(tid, ThreadState::Status::kWaitMemory);
-      attempt_sync(tid, now + 1 + net_half_, /*first_attempt=*/true);
+      claim(acct, CycleCat::kIssued, proc.clock);
+      attempt_sync(tid, now + 1 + net_half_);
       break;
     }
     case OpKind::kBarrier: {
@@ -303,8 +219,7 @@ void MtaMachine::handle_issue(u32 proc_id, Cycle now) {
       stats_.instructions += 1;
       proc.issued += 1;
       ts->instructions += 1;
-      acct_issue(proc);
-      ++proc.acct_barrier;  // parked until the release kComplete
+      claim(acct, CycleCat::kIssued, proc.clock);
       barrier_arrive(tid, now);
       break;
     }
@@ -343,146 +258,23 @@ Cycle MtaMachine::service_memory(Operation& op, Cycle issue_time, u32 proc) {
   bank_free_[bank] = start + 1;
   // Data effect applied at service (event order == issue order, so
   // fetch-add sequences are deterministic).
-  switch (op.kind) {
-    case OpKind::kLoad:
-      op.result = memory_.read(op.addr);
-      break;
-    case OpKind::kStore:
-      memory_.write(op.addr, op.value);
-      memory_.set_full(op.addr, true);
-      break;
-    case OpKind::kFetchAdd: {
-      const i64 old = memory_.read(op.addr);
-      memory_.write(op.addr, old + op.value);
-      op.result = old;
-      break;
-    }
-    default:
-      AG_CHECK(false, "service_memory() on a non-memory op");
-  }
+  apply_data_effect(op);
   return start + 1 + net_half_ + extra;
 }
 
-void MtaMachine::attempt_sync(u32 tid, Cycle arrival, bool first_attempt) {
+void MtaMachine::attempt_sync(u32 tid, Cycle arrival) {
+  // Every probe, retries included, consumes a bank cycle.
   ThreadState* ts = threads_[tid];
-  Operation& op = ts->pending;
-  if (prof_hook_ != nullptr) {
-    // Every probe (first attempt and each retry) consumes a bank cycle, so
-    // each one counts as an access — retry traffic shows up in the heatmap.
-    prof_hook_->on_access(op.addr, AccessClass::kRmw,
-                          op.kind == OpKind::kWriteEF);
-  }
-  const usize bank = bank_of(op.addr);
+  const usize bank = bank_of(ts->pending.addr);
   const Cycle extra = numa_penalty(bank, ts->processor);
   const Cycle start = std::max(arrival + extra, bank_free_[bank]);
   bank_free_[bank] = start + 1;
 
-  const bool full = memory_.full(op.addr);
-  bool satisfied = false;
-  switch (op.kind) {
-    case OpKind::kReadFF:
-      if (full) {
-        op.result = memory_.read(op.addr);
-        satisfied = true;
-      }
-      break;
-    case OpKind::kReadFE:
-      if (full) {
-        op.result = memory_.read(op.addr);
-        memory_.set_full(op.addr, false);
-        satisfied = true;
-      }
-      break;
-    case OpKind::kWriteEF:
-      if (!full) {
-        memory_.write(op.addr, op.value);
-        memory_.set_full(op.addr, true);
-        satisfied = true;
-      }
-      break;
-    default:
-      AG_CHECK(false, "attempt_sync() on a non-sync op");
+  if (!try_sync(tid, start + 1)) {
+    return;  // parked on the word until its tag flips
   }
-
-  // Cycle accounting. A sync op's flight (issue -> satisfied probe ->
-  // completion) counts as memory in flight; a parked op counts as a sync
-  // block. The first attempt's counters were not yet set (the issue path
-  // settled at issue time); a successful retry converts sync -> mem at the
-  // wake time, classifying the parked gap before it moves on.
-  Processor& proc = procs_[ts->processor];
-  if (first_attempt) {
-    if (satisfied) {
-      ++proc.acct_mem;
-    } else {
-      ++proc.acct_sync;
-    }
-  } else if (satisfied) {
-    settle(proc, arrival);
-    --proc.acct_sync;
-    ++proc.acct_mem;
-  }
-
-  if (satisfied) {
-    // A tag flip may unblock waiters of the opposite polarity.
-    if (op.kind != OpKind::kReadFF) {
-      wake_waiters(op.addr, start + 1);
-    }
-    set_status(tid, ThreadState::Status::kWaitMemory);
-    events_.push(start + 1 + net_half_ + extra, kComplete, tid);
-  } else {
-    set_status(tid, ThreadState::Status::kWaitSync);
-    sync_waiters_[op.addr].push_back(tid);
-  }
-}
-
-void MtaMachine::wake_waiters(Addr addr, Cycle now) {
-  const auto it = sync_waiters_.find(addr);
-  if (it == sync_waiters_.end() || it->second.empty()) {
-    return;
-  }
-  // Re-arbitrate every waiter in FIFO order; each recheck consumes a bank
-  // cycle in attempt_sync — the retry traffic that makes hotspots hurt.
-  std::deque<u32> woken = std::move(it->second);
-  sync_waiters_.erase(it);
-  for (const u32 tid : woken) {
-    stats_.sync_retries += 1;
-    events_.push(now, kRetry, tid);
-  }
-}
-
-void MtaMachine::barrier_arrive(u32 tid, Cycle now) {
-  set_status(tid, ThreadState::Status::kWaitBarrier);
-  barrier_waiting_.push_back(tid);
-  barrier_max_arrival_ = std::max(barrier_max_arrival_, now);
-  maybe_release_barrier();
-}
-
-void MtaMachine::maybe_release_barrier() {
-  if (static_cast<i64>(barrier_waiting_.size()) != live_ || live_ == 0) {
-    return;
-  }
-  const Cycle release = barrier_max_arrival_ + config_.barrier_overhead;
-  // Every live stream is parked here, so at most one release is ever in
-  // flight: resume the whole episode with a single kRelease event instead of
-  // one queue entry per stream. run_events() replays release_buf_ in arrival
-  // order, which is exactly the order the per-stream events popped in.
-  AG_DCHECK(release_buf_.empty(), "overlapping barrier releases");
-  for (const u32 tid : barrier_waiting_) {
-    threads_[tid]->pending.result = 0;
-    set_status(tid, ThreadState::Status::kWaitMemory);
-  }
-  release_buf_.swap(barrier_waiting_);  // leaves barrier_waiting_ empty
-  events_.push(release, kRelease, 0);
-  barrier_max_arrival_ = 0;
-  stats_.barriers += 1;
-  // Settle the accounting up to the release before observers snapshot
-  // stats(): every live stream is parked here (nothing is in flight), so the
-  // per-phase breakdown deltas slice exactly at barrier boundaries. The
-  // release kComplete events settle no-op and drop the barrier counters.
-  for (Processor& proc : procs_) {
-    settle(proc, release);
-  }
-  notify_barrier_release(release);
+  start_sync_flight(tid, arrival);
+  events_.push(start + 1 + net_half_ + extra, kComplete, tid);
 }
 
 std::vector<ProfGaugeInfo> MtaMachine::prof_gauge_info() const {
@@ -515,7 +307,7 @@ void MtaMachine::sample_prof_gauges(i64* out) const {
       // acct_mem counts exactly the streams in kWaitMemory on a memory or
       // satisfied-sync round trip (compute occupancy and barrier releases are
       // charged elsewhere), so summing it replaces the per-thread walk.
-      outstanding += proc.acct_mem;
+      outstanding += ledgers_[p].acct_mem;
     } else {
       out[i++] = 0;
     }
@@ -526,9 +318,7 @@ void MtaMachine::sample_prof_gauges(i64* out) const {
 }
 
 void MtaMachine::on_finish(u32 tid, Cycle now) {
-  set_status(tid, ThreadState::Status::kFinished);
-  --live_;
-  region_end_ = std::max(region_end_, now);
+  retire(tid, now);
   Processor& proc = procs_[threads_[tid]->processor];
   if (!proc.admission_queue.empty()) {
     const u32 next = proc.admission_queue.pop();

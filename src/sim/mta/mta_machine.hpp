@@ -30,10 +30,6 @@
 // paper's "performance is a function of parallelism" point.
 #pragma once
 
-#include <deque>
-#include <unordered_map>
-
-#include "sim/event_queue.hpp"
 #include "sim/machine.hpp"
 #include "sim/ring.hpp"
 
@@ -86,7 +82,6 @@ class MtaMachine final : public Machine {
            config_.streams_per_processor;
   }
   const MtaConfig& config() const { return config_; }
-  u64 event_heap_pushes() const override { return events_.heap_pushes(); }
 
   /// Gauges: per-processor issued slots (cumulative; reset each region, the
   /// profiler clamps the restart), then aggregate ready streams, blocked
@@ -94,10 +89,8 @@ class MtaMachine final : public Machine {
   std::vector<ProfGaugeInfo> prof_gauge_info() const override;
   void sample_prof_gauges(i64* out) const override;
 
- protected:
-  Cycle simulate(std::vector<ThreadState*>& threads) override;
-
  private:
+  friend class Machine;  // runs handle<Profiled>() from its event loop
   enum EventKind : u32 { kReady, kIssue, kComplete, kRetry, kRelease };
 
   struct Processor {
@@ -107,60 +100,31 @@ class MtaMachine final : public Machine {
     bool issue_scheduled = false;
     Cycle clock = 0;   // next cycle this processor may issue
     i64 issued = 0;    // issue slots consumed (profiling gauge)
-
-    // Cycle accounting: slots in [0, acct_until) are attributed; the wait
-    // counters classify the gap up to the next transition (settle()).
-    Cycle acct_until = 0;
-    i32 acct_mem = 0;      // streams with a memory/sync round trip in flight
-    i32 acct_sync = 0;     // streams parked on a full/empty tag
-    i32 acct_barrier = 0;  // streams waiting at the barrier
   };
 
-  // Per-region simulation helpers (operate on region_ state).
-  /// The event loop, instantiated once with the per-pop profiler call and
-  /// once without, so unprofiled runs pay no per-event null test.
+  void open_region() override;
+  void run_events() override;
   template <bool Profiled>
-  void run_events();
+  void handle(const Event& e);
   void on_ready(u32 tid, Cycle now);
   void handle_issue(u32 proc, Cycle now);
   void post_advance(u32 tid, Cycle now);
   void on_finish(u32 tid, Cycle now);
   Cycle service_memory(Operation& op, Cycle issue_time, u32 proc);
-  void attempt_sync(u32 tid, Cycle arrival, bool first_attempt);
-  /// Cycle accounting: attributes the unaccounted slots [acct_until, t) of
-  /// `proc` to the stall category its wait counters imply, then advances
-  /// acct_until. A no-op when t <= acct_until (past-time events).
-  void settle(Processor& proc, Cycle t);
-  /// Settles the completing thread's processor at `now` and releases the
-  /// wait counter its pre-advance pending op held.
-  void acct_complete(u32 tid, Cycle now);
-  /// Claims the unaccounted slots up to proc.clock as issue occupancy.
-  /// Clamped: when a barrier released by a late finish replays resumed
-  /// streams at already-settled times, only the unclaimed tail is charged —
-  /// acct_until never moves backward, so no slot is attributed twice.
-  void acct_issue(Processor& proc);
+  /// One bank probe of tid's pending full/empty op arriving at `arrival`
+  /// (its first attempt, or a retry after a wake).
+  void attempt_sync(u32 tid, Cycle arrival);
   /// One-way extra network cycles if `bank` is not local to `proc`.
   Cycle numa_penalty(usize bank, u32 proc) const;
-  void wake_waiters(Addr addr, Cycle now);
-  void barrier_arrive(u32 tid, Cycle now);
-  void maybe_release_barrier();
   usize bank_of(Addr addr) const;
 
   MtaConfig config_;
   Cycle net_half_;  // one-way network latency
 
-  // Region-scoped state (reset by simulate()).
-  std::vector<ThreadState*> threads_;
+  // Region-scoped state (reset by open_region()).
   std::vector<Processor> procs_;
   std::vector<u32> ring_arena_;  // backs every processor's two rings
   std::vector<Cycle> bank_free_;
-  std::unordered_map<Addr, std::deque<u32>> sync_waiters_;
-  std::vector<u32> barrier_waiting_;
-  std::vector<u32> release_buf_;  // threads resumed by the pending kRelease
-  Cycle barrier_max_arrival_ = 0;
-  i64 live_ = 0;
-  Cycle region_end_ = 0;
-  EventQueue events_;
 };
 
 }  // namespace archgraph::sim

@@ -61,7 +61,18 @@ void validate(const SmpConfig& c) {
                                std::to_string(c.clock_hz) + ")");
 }
 
-SmpMachine::SmpMachine(SmpConfig config) : config_(config) {
+SmpMachine::SmpMachine(SmpConfig config)
+    // A sync-parked thread means the processor is (logically) spinning on
+    // the emulated tag word; a barrier-parked thread means it is waiting out
+    // the software barrier; otherwise it simply has no work. Memory ops hold
+    // the processor for their whole latency, so no round trip is ever in
+    // flight across a gap and the first entry is never selected.
+    : Machine({.stall = {CycleCat::kIdle, CycleCat::kRmwSpin,
+                         CycleCat::kBarrierWait, CycleCat::kIdle},
+               .barrier_latency = config.barrier_base +
+                                  config.barrier_per_proc * config.processors,
+               .wake_event = kWake}),
+      config_(config) {
   validate(config_);
   // One line size keeps coherence single-granularity (DESIGN.md §6).
   procs_.reserve(config_.processors);
@@ -72,8 +83,7 @@ SmpMachine::SmpMachine(SmpConfig config) : config_(config) {
   }
 }
 
-Cycle SmpMachine::simulate(std::vector<ThreadState*>& threads) {
-  threads_ = threads;
+void SmpMachine::open_region() {
   // Caches and the directory stay warm across regions (phases of one
   // algorithm see each other's cached data); per-region clocks restart.
   // Simulated memory grows only between regions (host-side allocation), so
@@ -105,17 +115,8 @@ Cycle SmpMachine::simulate(std::vector<ThreadState*>& threads) {
     proc.oversubscribed = false;
     proc.clock = 0;
     proc.quantum_used = 0;
-    proc.acct_until = 0;
-    proc.acct_sync = 0;
-    proc.acct_barrier = 0;
   }
-  sync_waiters_.clear();
-  barrier_waiting_.clear();
-  barrier_max_arrival_ = 0;
   bus_free_ = 0;
-  live_ = static_cast<i64>(threads_.size());
-  region_end_ = 0;
-  events_.start_region();
 
   std::vector<u32> assigned(config_.processors, 0);
   for (u32 tid = 0; tid < threads_.size(); ++tid) {
@@ -132,73 +133,33 @@ Cycle SmpMachine::simulate(std::vector<ThreadState*>& threads) {
   for (u32 i = 0; i < config_.processors; ++i) {
     procs_[i].oversubscribed = assigned[i] > 1;
   }
-
-  if (prof_hook_ != nullptr) {
-    run_events<true>();
-  } else {
-    run_events<false>();
-  }
-
-  AG_CHECK(live_ == 0,
-           "SMP simulation deadlocked: threads wait on full/empty tags or a "
-           "barrier that can never be satisfied");
-  // Attribute each processor's drain tail (after its last op, before the
-  // region's last finisher) — every thread is done, so the gap is idle.
-  for (auto& proc : procs_) {
-    settle(proc, region_end_);
-  }
-  // threads_ points into the caller's region-local vector; drop the raw
-  // pointers so nothing sampled between regions can dereference freed state.
-  threads_.clear();
-  return region_end_;
 }
+
+void SmpMachine::run_events() { run_events_for(*this); }
 
 template <bool Profiled>
-void SmpMachine::run_events() {
-  while (!events_.empty()) {
-    const Event e = events_.pop();
-    if constexpr (Profiled) {
-      prof_hook_->on_advance(*this, e.time);
-    }
-    switch (static_cast<EventKind>(e.kind)) {
-      case kDispatch:
-        handle_dispatch(static_cast<u32>(e.payload), e.time);
-        break;
-      case kWake:
-        enqueue_ready(static_cast<u32>(e.payload), e.time);
-        break;
-    }
+void SmpMachine::handle(const Event& e) {
+  switch (static_cast<EventKind>(e.kind)) {
+    case kDispatch:
+      handle_dispatch(static_cast<u32>(e.payload), e.time);
+      break;
+    case kWake:
+      enqueue_ready(static_cast<u32>(e.payload), e.time);
+      break;
   }
-}
-
-void SmpMachine::settle(Processor& proc, Cycle t) {
-  if (t <= proc.acct_until) {
-    return;
-  }
-  // Priority: a sync-parked thread means the processor is (logically)
-  // spinning on the emulated tag word; a barrier-parked thread means it is
-  // waiting out the software barrier; otherwise it simply has no work.
-  CycleCat cat = CycleCat::kIdle;
-  if (proc.acct_sync > 0) {
-    cat = CycleCat::kRmwSpin;
-  } else if (proc.acct_barrier > 0) {
-    cat = CycleCat::kBarrierWait;
-  }
-  stats_.breakdown[cat] += t - proc.acct_until;
-  proc.acct_until = t;
 }
 
 void SmpMachine::enqueue_ready(u32 tid, Cycle now) {
   ThreadState* ts = threads_[tid];
-  Processor& park_proc = procs_[ts->processor];
+  Ledger& acct = ledgers_[ts->processor];
   // A wake ends the thread's park episode: classify the gap up to `now`
   // under the old counters, then release them.
   if (status_of(tid) == ThreadState::Status::kWaitSync) {
-    settle(park_proc, now);
-    --park_proc.acct_sync;
+    settle(acct, now);
+    --acct.acct_sync;
   } else if (status_of(tid) == ThreadState::Status::kWaitBarrier) {
-    settle(park_proc, now);
-    --park_proc.acct_barrier;
+    settle(acct, now);
+    --acct.acct_barrier;
   }
   set_status(tid, ThreadState::Status::kRunnable);
   Processor& proc = procs_[ts->processor];
@@ -219,15 +180,12 @@ void SmpMachine::handle_dispatch(u32 proc_id, Cycle now) {
     proc.running = proc.ready_fifo.pop();
     if (proc.oversubscribed && proc.last_ran != kNone &&
         proc.last_ran != proc.running) {
-      settle(proc, std::max(proc.clock, now));
+      settle(ledgers_[proc_id], std::max(proc.clock, now));
       proc.clock = std::max(proc.clock, now) + config_.context_switch;
       // Context-switch cycles are scheduler overhead, not kernel work: idle.
-      // Charge only the still-unaccounted part (a wake on this processor may
+      // Claim only the still-unaccounted part (a wake on this processor may
       // already have settled past the switch window).
-      if (proc.clock > proc.acct_until) {
-        stats_.breakdown[CycleCat::kIdle] += proc.clock - proc.acct_until;
-        proc.acct_until = proc.clock;
-      }
+      claim(ledgers_[proc_id], CycleCat::kIdle, proc.clock);
       ++stats_.context_switches;
     }
     proc.last_ran = proc.running;
@@ -378,34 +336,15 @@ Cycle SmpMachine::data_access_cost(Processor& proc, u32 proc_id,
   return (bus_start - start) + config_.memory_latency + coh;
 }
 
-void SmpMachine::apply_data_effect(Operation& op) {
-  switch (op.kind) {
-    case OpKind::kLoad:
-      op.result = memory_.read(op.addr);
-      break;
-    case OpKind::kStore:
-      memory_.write(op.addr, op.value);
-      memory_.set_full(op.addr, true);
-      break;
-    case OpKind::kFetchAdd: {
-      const i64 old = memory_.read(op.addr);
-      memory_.write(op.addr, old + op.value);
-      op.result = old;
-      break;
-    }
-    default:
-      AG_CHECK(false, "apply_data_effect() on a non-data op");
-  }
-}
-
 Cycle SmpMachine::execute_op(u32 tid, Cycle start) {
   ThreadState* ts = threads_[tid];
   Processor& proc = procs_[ts->processor];
+  Ledger& acct = ledgers_[ts->processor];
   Operation& op = ts->pending;
   // Classify any idle gap before this op begins; the op's own cycles are
   // attributed below, case by case, so that each decomposition sums exactly
   // to the op's cost (the run_region() invariant depends on it).
-  settle(proc, start);
+  settle(acct, start);
 
   switch (op.kind) {
     case OpKind::kCompute: {
@@ -413,7 +352,7 @@ Cycle SmpMachine::execute_op(u32 tid, Cycle start) {
       stats_.instructions += slots;
       ts->instructions += slots;
       stats_.breakdown[CycleCat::kIssued] += slots;
-      proc.acct_until = start + slots;
+      acct.acct_until = start + slots;
       return start + slots;
     }
     case OpKind::kLoad:
@@ -433,7 +372,7 @@ Cycle SmpMachine::execute_op(u32 tid, Cycle start) {
       stats_.breakdown[CycleCat::kBusContention] += split.bus;
       stats_.breakdown[CycleCat::kIssued] +=
           cost - (split.l1_miss + split.l2_miss + split.mem_fill + split.bus);
-      proc.acct_until = start + cost;
+      acct.acct_until = start + cost;
       apply_data_effect(op);
       return start + cost;
     }
@@ -460,7 +399,7 @@ Cycle SmpMachine::execute_op(u32 tid, Cycle start) {
       stats_.breakdown[CycleCat::kBusContention] += bus_start - start;
       stats_.breakdown[CycleCat::kIssued] += issued;
       stats_.breakdown[CycleCat::kRmwSpin] += config_.rmw_cost - issued;
-      proc.acct_until = bus_start + config_.rmw_cost;
+      acct.acct_until = bus_start + config_.rmw_cost;
       apply_data_effect(op);
       return bus_start + config_.rmw_cost;
     }
@@ -474,10 +413,6 @@ Cycle SmpMachine::execute_op(u32 tid, Cycle start) {
       stats_.sync_ops += 1;
       ts->instructions += 1;
       ts->memory_ops += 1;
-      if (prof_hook_ != nullptr) {
-        prof_hook_->on_access(op.addr, AccessClass::kRmw,
-                              op.kind == OpKind::kWriteEF);
-      }
       const Cycle bus_start = bus_transaction(start, config_.bus_occupancy);
       const Cycle probe_end = bus_start + config_.rmw_cost;
       // The probe costs the same whether it succeeds or parks: bus queueing,
@@ -486,42 +421,11 @@ Cycle SmpMachine::execute_op(u32 tid, Cycle start) {
       stats_.breakdown[CycleCat::kBusContention] += bus_start - start;
       stats_.breakdown[CycleCat::kIssued] += probe_issued;
       stats_.breakdown[CycleCat::kRmwSpin] += config_.rmw_cost - probe_issued;
-      proc.acct_until = probe_end;
-      const bool full = memory_.full(op.addr);
-      bool satisfied = false;
-      switch (op.kind) {
-        case OpKind::kReadFF:
-          if (full) {
-            op.result = memory_.read(op.addr);
-            satisfied = true;
-          }
-          break;
-        case OpKind::kReadFE:
-          if (full) {
-            op.result = memory_.read(op.addr);
-            memory_.set_full(op.addr, false);
-            satisfied = true;
-          }
-          break;
-        case OpKind::kWriteEF:
-          if (!full) {
-            memory_.write(op.addr, op.value);
-            memory_.set_full(op.addr, true);
-            satisfied = true;
-          }
-          break;
-        default:
-          break;
-      }
-      if (satisfied) {
-        if (op.kind != OpKind::kReadFF) {
-          wake_sync_waiters(op.addr, probe_end);
-        }
+      acct.acct_until = probe_end;
+      if (try_sync(tid, probe_end)) {
         return probe_end;
       }
-      set_status(tid, ThreadState::Status::kWaitSync);
-      ++proc.acct_sync;  // idle until the wake now reads as rmw_spin
-      sync_waiters_[op.addr].push_back(tid);
+      // Parked: idle until the wake now reads as rmw_spin.
       proc.clock = probe_end;  // the failed probe still held the processor
       return -1;
     }
@@ -535,10 +439,9 @@ Cycle SmpMachine::execute_op(u32 tid, Cycle start) {
       stats_.breakdown[CycleCat::kBusContention] += bus_start - start;
       stats_.breakdown[CycleCat::kIssued] += issued;
       stats_.breakdown[CycleCat::kBarrierWait] += config_.rmw_cost - issued;
-      proc.acct_until = arrival;
-      ++proc.acct_barrier;  // idle until release now reads as barrier_wait
+      acct.acct_until = arrival;
       proc.clock = arrival;
-      barrier_arrive(tid, arrival);
+      barrier_arrive(tid, arrival);  // idle until release reads barrier_wait
       return -1;
     }
     case OpKind::kNone:
@@ -548,56 +451,23 @@ Cycle SmpMachine::execute_op(u32 tid, Cycle start) {
   return -1;  // unreachable
 }
 
-void SmpMachine::wake_sync_waiters(Addr addr, Cycle now) {
-  const auto it = sync_waiters_.find(addr);
-  if (it == sync_waiters_.end() || it->second.empty()) {
-    return;
-  }
-  std::deque<u32> woken = std::move(it->second);
-  sync_waiters_.erase(it);
-  for (const u32 tid : woken) {
-    stats_.sync_retries += 1;
-    events_.push(now, kWake, tid);
-  }
-}
-
-void SmpMachine::barrier_arrive(u32 tid, Cycle arrival) {
-  set_status(tid, ThreadState::Status::kWaitBarrier);
-  barrier_waiting_.emplace_back(tid, arrival);
-  barrier_max_arrival_ = std::max(barrier_max_arrival_, arrival);
-  maybe_release_barrier();
-}
-
-void SmpMachine::maybe_release_barrier() {
-  if (static_cast<i64>(barrier_waiting_.size()) != live_ || live_ == 0) {
-    return;
-  }
-  const Cycle release = barrier_max_arrival_ + config_.barrier_base +
-                        config_.barrier_per_proc * config_.processors;
-  // Detach the wait list first: on_finish() below re-enters this function.
-  std::vector<std::pair<u32, Cycle>> released = std::move(barrier_waiting_);
-  barrier_waiting_.clear();
-  barrier_max_arrival_ = 0;
-  stats_.barriers += 1;
-  // Settle every processor to the release point before observers see the
-  // phase boundary, so a phase-scoped breakdown delta slices exactly at the
-  // barrier. Safe: every live thread is parked here, so the counters that
-  // classify each gap cannot change before `release`.
-  for (auto& proc : procs_) {
-    settle(proc, release);
-  }
-  notify_barrier_release(release);
-  for (const auto& [tid, arrival] : released) {
-    procs_[threads_[tid]->processor].barrier_wait += release - arrival;
+void SmpMachine::resume_barrier(Cycle release) {
+  for (const auto& [tid, arrival] : release_buf_) {
     ThreadState* ts = threads_[tid];
+    procs_[ts->processor].barrier_wait += release - arrival;
     ts->pending.result = 0;
     advance_thread(*ts);  // step past the barrier; next op runs at dispatch
     if (ts->pending.kind == OpKind::kDone) {
+      // Finishing at the release skips enqueue_ready(), so release the park
+      // counter here (the ledger is already settled to the release) and the
+      // processor's later gaps read as plain idle.
+      --ledgers_[ts->processor].acct_barrier;
       on_finish(tid, release);
     } else {
       events_.push(release, kWake, tid);
     }
   }
+  release_buf_.clear();
 }
 
 std::vector<ProfGaugeInfo> SmpMachine::prof_gauge_info() const {
@@ -616,22 +486,11 @@ void SmpMachine::sample_prof_gauges(i64* out) const {
   for (const Processor& proc : procs_) {
     out[i++] = proc.barrier_wait;
   }
-  out[i] = static_cast<i64>(barrier_waiting_.size());
+  out[i] = static_cast<i64>(barrier_parked());
 }
 
 void SmpMachine::on_finish(u32 tid, Cycle now) {
-  ThreadState* ts = threads_[tid];
-  // A thread whose coroutine ends right after a barrier finishes at the
-  // release without passing through enqueue_ready(); release its park
-  // counter here so the processor's later gaps read as plain idle.
-  if (status_of(tid) == ThreadState::Status::kWaitBarrier) {
-    Processor& proc = procs_[ts->processor];
-    settle(proc, now);
-    --proc.acct_barrier;
-  }
-  set_status(tid, ThreadState::Status::kFinished);
-  --live_;
-  region_end_ = std::max(region_end_, now);
+  retire(tid, now);
   maybe_release_barrier();
 }
 

@@ -20,11 +20,8 @@
 //     grows with p; full/empty emulation spins on locked bus RMWs.
 #pragma once
 
-#include <deque>
-#include <unordered_map>
 #include <utility>
 
-#include "sim/event_queue.hpp"
 #include "sim/machine.hpp"
 #include "sim/ring.hpp"
 #include "sim/smp/cache.hpp"
@@ -92,7 +89,6 @@ class SmpMachine final : public Machine {
   double clock_hz() const override { return config_.clock_hz; }
   i64 concurrency() const override { return config_.processors; }
   const SmpConfig& config() const { return config_; }
-  u64 event_heap_pushes() const override { return events_.heap_pushes(); }
 
   /// Gauges: per-processor cycles spent waiting at barriers (cumulative;
   /// accumulates across regions), then the instantaneous count of threads
@@ -100,10 +96,8 @@ class SmpMachine final : public Machine {
   std::vector<ProfGaugeInfo> prof_gauge_info() const override;
   void sample_prof_gauges(i64* out) const override;
 
- protected:
-  Cycle simulate(std::vector<ThreadState*>& threads) override;
-
  private:
+  friend class Machine;  // runs handle<Profiled>() from its event loop
   enum EventKind : u32 { kDispatch, kWake };
   static constexpr u32 kNone = ~u32{0};
 
@@ -121,12 +115,6 @@ class SmpMachine final : public Machine {
     Cycle clock = 0;
     Cycle quantum_used = 0;
     Cycle barrier_wait = 0;  // cycles parked at barriers (profiling gauge)
-
-    // Cycle accounting: slots in [0, acct_until) are attributed; the park
-    // counters classify the gap up to the next transition (settle()).
-    Cycle acct_until = 0;
-    i32 acct_sync = 0;     // threads parked on a full/empty tag
-    i32 acct_barrier = 0;  // threads parked at the barrier
   };
 
   /// Stall decomposition of one data access. data_access_cost() fills it so
@@ -139,10 +127,13 @@ class SmpMachine final : public Machine {
     Cycle bus = 0;       // CycleCat::kBusContention
   };
 
-  /// The event loop, instantiated once with the per-pop profiler call and
-  /// once without, so unprofiled runs pay no per-event null test.
+  void open_region() override;
+  void run_events() override;
   template <bool Profiled>
-  void run_events();
+  void handle(const Event& e);
+  /// The software barrier resumes inline: each released thread steps past
+  /// the barrier at once, and its next op runs at dispatch.
+  void resume_barrier(Cycle release) override;
   void handle_dispatch(u32 proc_id, Cycle now);
   void enqueue_ready(u32 tid, Cycle now);
   /// Executes the thread's pending op starting at `start`; returns its
@@ -150,10 +141,6 @@ class SmpMachine final : public Machine {
   Cycle execute_op(u32 tid, Cycle start);
   Cycle data_access_cost(Processor& proc, u32 proc_id, const Operation& op,
                          Cycle start, AccessSplit& split);
-  /// Cycle accounting: attributes the unaccounted slots [acct_until, t) of
-  /// `proc` to the stall category its park counters imply, then advances
-  /// acct_until. A no-op when t <= acct_until (past-time events).
-  void settle(Processor& proc, Cycle t);
   Cycle bus_transaction(Cycle request, Cycle occupancy);
   void invalidate_remote(u64 line, u32 writer);
   /// Sharer bitmask of `line`: bit p set when processor p may hold it.
@@ -162,29 +149,18 @@ class SmpMachine final : public Machine {
               "coherence directory does not cover the line");
     return directory_[line];
   }
-  void apply_data_effect(Operation& op);
-  void barrier_arrive(u32 tid, Cycle arrival);
-  void maybe_release_barrier();
-  void wake_sync_waiters(Addr addr, Cycle now);
   void on_finish(u32 tid, Cycle now);
 
   SmpConfig config_;
 
   // Region-scoped state.
-  std::vector<ThreadState*> threads_;
   std::vector<Processor> procs_;
   std::vector<u32> ring_arena_;  // backs every processor's ready ring
   // Coherence directory: one sharer bitmask per line of simulated memory,
   // indexed by line number (0 = no sharer). Sized at each region start and
   // never shrunk; like the caches it stays warm across regions.
   std::vector<u32> directory_;
-  std::unordered_map<Addr, std::deque<u32>> sync_waiters_;
-  std::vector<std::pair<u32, Cycle>> barrier_waiting_;  // (tid, arrival)
-  Cycle barrier_max_arrival_ = 0;
   Cycle bus_free_ = 0;
-  i64 live_ = 0;
-  Cycle region_end_ = 0;
-  EventQueue events_;
 };
 
 }  // namespace archgraph::sim

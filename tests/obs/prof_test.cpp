@@ -181,6 +181,11 @@ const RangeProfile* find_range(const std::vector<RangeProfile>& ranges,
   return nullptr;
 }
 
+/// The result points into `ranges`, so a temporary (e.g. a direct
+/// session.range_profiles() call) would leave it dangling.
+const RangeProfile* find_range(std::vector<RangeProfile>&& ranges,
+                               const std::string& name) = delete;
+
 TEST(ProfAttribution, ResolvesAccessesToLabeledRanges) {
   const auto machine = sim::make_machine("smp:procs=2,l2_kb=64");
   ProfSession session;
@@ -263,7 +268,8 @@ TEST(ProfAttribution, SuccMissRateSeparatesRandomFromOrderedOnSmp) {
     session.attach(*machine, "smp");
     core::sim_rank_list_hj(*machine, list);
     session.detach();
-    const RangeProfile* succ = find_range(session.range_profiles(), "succ");
+    const std::vector<RangeProfile> ranges = session.range_profiles();
+    const RangeProfile* succ = find_range(ranges, "succ");
     EXPECT_NE(succ, nullptr);
     return succ != nullptr ? succ->miss_rate() : -1.0;
   };
@@ -285,14 +291,14 @@ TEST(ProfAttribution, MtaTrafficIsBankReferencesNotCacheEvents) {
   core::sim_rank_list_walk(*machine, list);
   session.detach();
 
-  const RangeProfile* succ = find_range(session.range_profiles(), "succ");
+  const std::vector<RangeProfile> ranges = session.range_profiles();
+  const RangeProfile* succ = find_range(ranges, "succ");
   ASSERT_NE(succ, nullptr);
   EXPECT_GT(succ->mem_refs, 0);
   EXPECT_EQ(succ->l1_hits + succ->l2_hits + succ->mem_fills, 0);
   EXPECT_LT(succ->miss_rate(), 0.0) << "no cache => no miss rate";
   // The walk kernel claims chunks with int_fetch_add on its shared counter.
-  const RangeProfile* counter =
-      find_range(session.range_profiles(), "walk.counter");
+  const RangeProfile* counter = find_range(ranges, "walk.counter");
   ASSERT_NE(counter, nullptr);
   EXPECT_GT(counter->rmws, 0);
 }

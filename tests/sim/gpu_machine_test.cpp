@@ -209,6 +209,17 @@ TEST(GpuMachine, IntraWarpProducerConsumerDoesNotDeadlock) {
   EXPECT_GT(m.stats().sync_ops, 0);
 }
 
+TEST(GpuMachine, DeadlockIsDetectedNotHung) {
+  // A lone read_fe on a word nobody fills parks forever: the region must
+  // throw once the event queue runs dry, not spin or return.
+  GpuMachine m;
+  SimArray<i64> cell(m.memory(), 1);
+  m.memory().set_full(cell.addr(0), false);  // empty forever
+  m.spawn([](Ctx ctx, Addr a) -> SimThread { co_await ctx.read_fe(a); },
+          cell.addr(0));
+  EXPECT_THROW(m.run_region(), std::logic_error);
+}
+
 TEST(GpuMachine, LockstepOccupiesTheWarpForTheSlowestLane) {
   // Two lanes in one warp, one asking 1 ALU slot and one asking 100: the
   // group runs for 100 slots every round.

@@ -470,14 +470,22 @@ cmp "$OUT_DIR/ci_serial.jsonl" "$OUT_DIR/ci_profiled.jsonl" || {
 }
 echo "ok: profiled ci sweep JSONL byte-identical to unprofiled"
 
-echo "== profiler gate (profiled runs vs both committed baselines, tol 0) =="
+echo "== profiler gate (profiled runs vs all four committed baselines, tol 0) =="
+# The profiled event loops are separate instantiations of every machine's hot
+# loop; the gpu grid is the only one that reaches the GPU's.
 "$BUILD_DIR"/tools/archgraph_sweep check "$OUT_DIR/ci_profiled.jsonl" \
     --against baselines/ci_quick.jsonl --tol 0
 ARCHGRAPH_BENCH_SCALE=quick "$BUILD_DIR"/tools/archgraph_sweep run fig1 \
     --profile --out "$OUT_DIR/fig1_profiled.jsonl" 2>/dev/null
 "$BUILD_DIR"/tools/archgraph_sweep check "$OUT_DIR/fig1_profiled.jsonl" \
     --against baselines/fig1_quick.jsonl --tol 0
-echo "ok: profiled sweeps pass check --tol 0 against both baselines"
+for grid in frontier gpu; do
+  "$BUILD_DIR"/tools/archgraph_sweep run "$grid" --jobs 4 --profile \
+      --out "$OUT_DIR/${grid}_profiled.jsonl" 2>/dev/null
+  "$BUILD_DIR"/tools/archgraph_sweep check "$OUT_DIR/${grid}_profiled.jsonl" \
+      --against "baselines/${grid}_quick.jsonl" --tol 0
+done
+echo "ok: profiled sweeps pass check --tol 0 against all four baselines"
 
 echo "== profile trace (valid Chrome trace with counter tracks) =="
 TRACE_COUNT=$(ls "$OUT_DIR"/traces/*.trace.json | wc -l)
