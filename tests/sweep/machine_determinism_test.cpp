@@ -158,6 +158,7 @@ struct SyncGolden {
   i64 sync_ops;
   i64 sync_retries;
   i64 barriers;
+  i64 context_switches;  // SMP oversubscription: quantum expiries and wakes
   Buckets acct;  // every non-zero accounting bucket, as in Golden
 };
 
@@ -274,6 +275,7 @@ const std::vector<SyncGolden>& sync_goldens() {
        53,
        30,
        2,
+       0,
        {{CycleCat::kIssued, 3183},
         {CycleCat::kNoReadyStream, 3245},
         {CycleCat::kSyncBlocked, 2811},
@@ -285,18 +287,35 @@ const std::vector<SyncGolden>& sync_goldens() {
        84,
        31,
        2,
+       53,
        {{CycleCat::kIssued, 3214},
         {CycleCat::kMemFillWait, 40},
         {CycleCat::kBusContention, 26726},
         {CycleCat::kRmwSpin, 18548},
         {CycleCat::kBarrierWait, 6692},
         {CycleCat::kIdle, 174018}}},
+      // One processor runs every thread of both regions, so each wake,
+      // quantum expiry and context switch lands on a single dispatch chain.
+      {"smp:procs=1",
+       262735,
+       3238,
+       108,
+       55,
+       2,
+       80,
+       {{CycleCat::kIssued, 3242},
+        {CycleCat::kMemFillWait, 20},
+        {CycleCat::kBusContention, 84},
+        {CycleCat::kRmwSpin, 11214},
+        {CycleCat::kBarrierWait, 2175},
+        {CycleCat::kIdle, 246000}}},
       {"gpu:procs=2,warp_width=4",
        8890,
        3132,
        53,
        42,
        2,
+       0,
        {{CycleCat::kIssued, 71},
         {CycleCat::kSyncBlocked, 937},
         {CycleCat::kBarrier, 1740},
@@ -314,6 +333,7 @@ void expect_sync_golden(const SyncGolden& g, const sim::Machine& m) {
   EXPECT_EQ(s.sync_ops, g.sync_ops) << g.machine;
   EXPECT_EQ(s.sync_retries, g.sync_retries) << g.machine;
   EXPECT_EQ(s.barriers, g.barriers) << g.machine;
+  EXPECT_EQ(s.context_switches, g.context_switches) << g.machine;
   EXPECT_EQ(s.breakdown, expected_breakdown(g.acct)) << g.machine;
 }
 
