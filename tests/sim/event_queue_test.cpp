@@ -68,6 +68,12 @@ class ReferenceQueue {
     events_.push_back(Event{time, seq_++, kind, payload});
   }
   bool empty() const { return events_.empty(); }
+  /// Whether push(time) followed by pop() would return the pushed event:
+  /// it takes the largest seq, so every pending event must be later.
+  bool pops_next(Cycle time) const {
+    return std::all_of(events_.begin(), events_.end(),
+                       [time](const Event& e) { return e.time > time; });
+  }
   Event pop() {
     auto it = std::min_element(events_.begin(), events_.end(),
                                [](const Event& a, const Event& b) {
@@ -235,6 +241,106 @@ TEST(EventQueue, DifferentialAcrossBucketWindowBoundary) {
     ASSERT_EQ(a.kind, b.kind);
   }
   EXPECT_TRUE(ref.empty());
+}
+
+TEST(EventQueue, TakeIfNextDifferentialAgainstReferenceModel) {
+  // take_if_next(t) is a fused push(t) + pop(): it must answer true exactly
+  // when that pop would return the pushed event, and must leave the queue in
+  // the state that pop would have, so every later pop still matches the
+  // reference. Times cover the same cycle, the near future, both sides of
+  // the bucket window's edge, the deep future and the past; each epoch
+  // drains and restarts at time 0 through start_region(). Short queues make
+  // true answers common, as on an SMP whose processors mostly idle.
+  constexpr Cycle kWin = static_cast<Cycle>(EventQueue::kBuckets);
+  Prng rng(0xf05edu);
+  EventQueue q;
+  u32 next_kind = 1;
+  u64 pushes = 0;
+  u64 taken = 0;
+  u64 refused = 0;
+  for (int epoch = 0; epoch < 6; ++epoch) {
+    q.start_region();
+    ReferenceQueue ref;
+    Cycle now = 0;
+    auto pick_time = [&]() -> Cycle {
+      switch (rng.below(8)) {
+        case 0: return now;
+        case 1: return now + 1 + rng.below(16);
+        case 2: return now + kWin - 2 + rng.below(4);
+        case 3: return now + kWin + rng.below(64);
+        case 4: return now + 10 * kWin + rng.below(1000);
+        case 5: return now > 2 * kWin ? now - kWin - rng.below(64)
+                                      : now / 2;
+        default: return now + rng.below(kWin);
+      }
+    };
+    for (int step = 0; step < 8000; ++step) {
+      const u64 roll = rng.below(100);
+      if (!q.empty() && roll < 40) {
+        const Event a = q.pop();
+        const Event b = ref.pop();
+        ASSERT_EQ(a.time, b.time) << "epoch " << epoch << " step " << step;
+        ASSERT_EQ(a.kind, b.kind) << "epoch " << epoch << " step " << step;
+        now = a.time;
+      } else if (roll < 70) {
+        const Cycle time = pick_time();
+        const bool expect = ref.pops_next(time);
+        ASSERT_EQ(q.take_if_next(time), expect)
+            << "epoch " << epoch << " step " << step << " time " << time;
+        if (expect) {
+          ++taken;
+          now = time;
+        } else {
+          ++refused;
+        }
+      } else {
+        const Cycle time = pick_time();
+        const u32 kind = next_kind++;
+        q.push(time, kind, kind);
+        ref.push(time, kind, kind);
+        ++pushes;
+      }
+      ASSERT_EQ(q.empty(), ref.empty());
+    }
+    while (!q.empty()) {
+      const Event a = q.pop();
+      const Event b = ref.pop();
+      ASSERT_EQ(a.time, b.time) << "epoch " << epoch;
+      ASSERT_EQ(a.kind, b.kind) << "epoch " << epoch;
+    }
+    EXPECT_TRUE(ref.empty());
+  }
+  EXPECT_GT(taken, 1000u);
+  EXPECT_GT(refused, 1000u);
+  EXPECT_EQ(q.fused(), taken);
+  EXPECT_EQ(q.pushes(), pushes);  // a fused event consumes no seq
+}
+
+TEST(EventQueue, TakeIfNextYieldsToSameTimeEvents) {
+  // A same-time event already queued pops before a new push at that time,
+  // whichever level holds it.
+  constexpr Cycle kWin = static_cast<Cycle>(EventQueue::kBuckets);
+  EventQueue q;
+  q.push(0, 1, 0);  // FIFO, at now
+  EXPECT_FALSE(q.take_if_next(0));
+  EXPECT_EQ(q.pop().kind, 1u);
+  q.push(7, 2, 0);  // bucket
+  EXPECT_FALSE(q.take_if_next(7));
+  EXPECT_TRUE(q.take_if_next(6));
+  EXPECT_EQ(q.pop().kind, 2u);
+  q.push(7 + 2 * kWin, 3, 0);  // heap
+  EXPECT_FALSE(q.take_if_next(7 + 2 * kWin));
+  EXPECT_TRUE(q.take_if_next(7 + 2 * kWin - 1));
+  // The window now sits at the taken time, so a push one cycle later is a
+  // same-window bucket push, not a heap push.
+  const u64 heap_before = q.heap_pushes();
+  q.push(7 + 2 * kWin, 4, 0);
+  EXPECT_EQ(q.heap_pushes(), heap_before);
+  EXPECT_EQ(q.pop().kind, 3u);
+  EXPECT_EQ(q.pop().kind, 4u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.fused(), 2u);
+  EXPECT_EQ(q.pushes(), 4u);
 }
 
 TEST(EventQueue, SameCycleOrderingAcrossLevels) {
