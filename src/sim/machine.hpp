@@ -146,6 +146,12 @@ class Machine {
   /// Host-side diagnostic: pushes that took the event queue's overflow heap
   /// so far (EventQueue::heap_pushes). Not simulated state; never serialized.
   u64 event_heap_pushes() const { return events_.heap_pushes(); }
+  /// Host-side diagnostics: events pushed so far, and events a machine took
+  /// inline because they would have popped next (EventQueue::take_if_next;
+  /// only the SMP's dispatch chain does). Their sum is every event handled.
+  /// Not simulated state; never serialized.
+  u64 events_pushed() const { return events_.pushes(); }
+  u64 events_fused() const { return events_.fused(); }
 
   /// Simulated wall-clock seconds so far (cycles / clock rate).
   double seconds() const { return static_cast<double>(cycles()) / clock_hz(); }

@@ -20,38 +20,7 @@ Cache::Cache(u64 size_bytes, u64 line_bytes, u32 ways)
   slots_.assign(static_cast<usize>(sets_) * ways_, Way{});
 }
 
-Cache::AccessResult Cache::access(u64 line, bool write) {
-  Way* const set = &slots_[set_base(line)];
-  ++tick_;
-
-  // Direct-mapped fast path (the E4500's 16 KB L1): one tag compare, no
-  // victim scan.
-  if (ways_ == 1) {
-    Way& w = *set;
-    if (w.line == line) {
-      w.lru = tick_;
-      w.dirty = w.dirty || write;
-      return AccessResult{.hit = true};
-    }
-    AccessResult result;
-    if (w.line != kInvalid) {
-      result.evicted = true;
-      result.evicted_line = w.line;
-      result.evicted_dirty = w.dirty;
-    }
-    w = Way{.line = line, .lru = tick_, .dirty = write};
-    return result;
-  }
-
-  // Hit scan first — the common case pays no victim bookkeeping.
-  for (u32 i = 0; i < ways_; ++i) {
-    if (set[i].line == line) {
-      set[i].lru = tick_;
-      set[i].dirty = set[i].dirty || write;
-      return AccessResult{.hit = true};
-    }
-  }
-
+Cache::AccessResult Cache::install(Way* set, u64 line, bool write) {
   // Miss: victim is the first invalid way, else the LRU-oldest (ties resolve
   // to the lowest index, matching the original single-pass selection).
   u32 victim = 0;

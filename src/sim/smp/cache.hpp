@@ -35,8 +35,21 @@ class Cache {
   };
 
   /// Looks up `line`; on a miss, installs it (evicting the LRU way).
-  /// `write` marks the line dirty.
-  AccessResult access(u64 line, bool write);
+  /// `write` marks the line dirty. The hit path is inline: it is the SMP's
+  /// per-access hot path (most loads and stores hit L1).
+  AccessResult access(u64 line, bool write) {
+    Way* const set = &slots_[set_base(line)];
+    ++tick_;
+    if (ways_ == 1) {
+      // Direct-mapped fast path (the E4500's 16 KB L1): one tag compare.
+      if (set->line == line) return hit(*set, write);
+    } else {
+      for (u32 i = 0; i < ways_; ++i) {
+        if (set[i].line == line) return hit(set[i], write);
+      }
+    }
+    return install(set, line, write);
+  }
 
   bool contains(u64 line) const;
 
@@ -53,6 +66,14 @@ class Cache {
     bool dirty = false;
   };
   static constexpr u64 kInvalid = ~u64{0};
+
+  AccessResult hit(Way& w, bool write) {
+    w.lru = tick_;
+    w.dirty = w.dirty || write;
+    return AccessResult{.hit = true};
+  }
+  /// Miss path of access(): installs `line` in the victim way of `set`.
+  AccessResult install(Way* set, u64 line, bool write);
 
   /// Set selection avoids the modulo in the common case: cache geometries
   /// are nearly always power-of-two set counts, where `line & mask` is exact.

@@ -140,9 +140,23 @@ void SmpMachine::run_events() { run_events_for(*this); }
 template <bool Profiled>
 void SmpMachine::handle(const Event& e) {
   switch (static_cast<EventKind>(e.kind)) {
-    case kDispatch:
-      handle_dispatch(static_cast<u32>(e.payload), e.time);
+    case kDispatch: {
+      // Fused dispatch: while the processor's next dispatch would be the
+      // queue's very next pop, run it here instead of a push/pop round trip.
+      // Only an event that pops next is taken, so the order is unchanged.
+      const u32 proc_id = static_cast<u32>(e.payload);
+      Cycle next = handle_dispatch(proc_id, e.time);
+      while (next >= 0 && events_.take_if_next(next)) {
+        if constexpr (Profiled) {
+          prof_hook_->on_advance(*this, next);
+        }
+        next = handle_dispatch(proc_id, next);
+      }
+      if (next >= 0) {
+        events_.push(next, kDispatch, proc_id);
+      }
       break;
+    }
     case kWake:
       enqueue_ready(static_cast<u32>(e.payload), e.time);
       break;
@@ -170,12 +184,12 @@ void SmpMachine::enqueue_ready(u32 tid, Cycle now) {
   }
 }
 
-void SmpMachine::handle_dispatch(u32 proc_id, Cycle now) {
+Cycle SmpMachine::handle_dispatch(u32 proc_id, Cycle now) {
   Processor& proc = procs_[proc_id];
   if (proc.running == kNone) {
     if (proc.ready_fifo.empty()) {
       proc.dispatch_scheduled = false;
-      return;
+      return -1;
     }
     proc.running = proc.ready_fifo.pop();
     if (proc.oversubscribed && proc.last_ran != kNone &&
@@ -202,11 +216,10 @@ void SmpMachine::handle_dispatch(u32 proc_id, Cycle now) {
     // past the failed probe; the processor moves on.
     proc.running = kNone;
     if (!proc.ready_fifo.empty()) {
-      events_.push(proc.clock, kDispatch, proc_id);
-    } else {
-      proc.dispatch_scheduled = false;
+      return proc.clock;
     }
-    return;
+    proc.dispatch_scheduled = false;
+    return -1;
   }
 
   proc.clock = completion;
@@ -217,18 +230,17 @@ void SmpMachine::handle_dispatch(u32 proc_id, Cycle now) {
     on_finish(tid, completion);
     proc.running = kNone;
     if (!proc.ready_fifo.empty()) {
-      events_.push(completion, kDispatch, proc_id);
-    } else {
-      proc.dispatch_scheduled = false;
+      return completion;
     }
-    return;
+    proc.dispatch_scheduled = false;
+    return -1;
   }
 
   if (proc.quantum_used >= config_.quantum && !proc.ready_fifo.empty()) {
     proc.ready_fifo.push(tid);
     proc.running = kNone;
   }
-  events_.push(completion, kDispatch, proc_id);
+  return completion;
 }
 
 Cycle SmpMachine::bus_transaction(Cycle request, Cycle occupancy) {

@@ -134,7 +134,10 @@ class SmpMachine final : public Machine {
   /// The software barrier resumes inline: each released thread steps past
   /// the barrier at once, and its next op runs at dispatch.
   void resume_barrier(Cycle release) override;
-  void handle_dispatch(u32 proc_id, Cycle now);
+  /// Runs one op (or a context switch into it) on the processor; returns
+  /// the time of its next dispatch, or -1 when it has nothing to run until
+  /// a wake. The caller schedules that dispatch.
+  Cycle handle_dispatch(u32 proc_id, Cycle now);
   void enqueue_ready(u32 tid, Cycle now);
   /// Executes the thread's pending op starting at `start`; returns its
   /// completion time, or -1 if the thread blocked (sync wait / barrier).
