@@ -9,7 +9,10 @@
 // ops_per_sec is the headline number; for machine/* records one "op" is one
 // simulated instruction, so ops_per_sec is host instructions/sec — compare
 // two runs with tools/bench_diff). Event-queue and machine records also
-// carry heap_pushes, the events that took the queue's overflow heap.
+// carry heap_pushes, the events that took the queue's overflow heap; machine
+// records carry events (every event the machine handled) and fused (those it
+// handled inline instead of a push/pop round trip), so events/ops is events
+// per simulated instruction.
 #include <algorithm>
 #include <iostream>
 #include <string>
@@ -37,6 +40,8 @@ struct Result {
   u64 ops = 0;
   double seconds = 0.0;
   i64 heap_pushes = -1;  // -1: not an event-queue measurement
+  i64 events = -1;       // -1: not a machine measurement
+  i64 fused = -1;
   double ops_per_sec() const { return seconds > 0.0 ? ops / seconds : 0.0; }
 };
 
@@ -196,6 +201,8 @@ Result bench_machine_cell(const std::string& label, const std::string& kernel,
   const sweep::KernelInput input = sweep::make_input(info, cell);
   u64 instructions = 0;
   u64 heap_pushes = 0;
+  u64 events = 0;
+  u64 fused = 0;
   Timer timer;
   for (u64 r = 0; r < reps; ++r) {
     const auto mach = sim::make_machine(machine);
@@ -203,9 +210,12 @@ Result bench_machine_cell(const std::string& label, const std::string& kernel,
     g_sink += static_cast<u64>(mach->cycles());
     instructions += static_cast<u64>(mach->stats().instructions);
     heap_pushes += mach->event_heap_pushes();
+    events += mach->events_pushed() + mach->events_fused();
+    fused += mach->events_fused();
   }
   return {"machine/" + label, instructions, timer.seconds(),
-          static_cast<i64>(heap_pushes)};
+          static_cast<i64>(heap_pushes), static_cast<i64>(events),
+          static_cast<i64>(fused)};
 }
 
 }  // namespace
@@ -272,7 +282,9 @@ int main() {
   results.push_back(bench_machine_cell("gpu/fig2", "cc_sv_mta", "gpu:procs=4",
                                        layout, cc_n, 8 * cc_n, cell_reps));
 
-  Table table({"benchmark", "ops", "seconds", "Mops/sec", "heap pushes"}, 3);
+  Table table({"benchmark", "ops", "seconds", "Mops/sec", "heap pushes",
+               "events", "fused"},
+              3);
   bench::BenchJson bj("host_sim");
   for (const Result& r : results) {
     table.row()
@@ -280,13 +292,16 @@ int main() {
         .add(static_cast<i64>(r.ops))
         .add(r.seconds)
         .add(r.ops_per_sec() / 1e6)
-        .add(r.heap_pushes >= 0 ? std::to_string(r.heap_pushes) : "-");
+        .add(r.heap_pushes >= 0 ? std::to_string(r.heap_pushes) : "-")
+        .add(r.events >= 0 ? std::to_string(r.events) : "-")
+        .add(r.fused >= 0 ? std::to_string(r.fused) : "-");
     bj.record([&](obs::JsonWriter& w) {
       w.field("benchmark", r.name)
           .field("ops", static_cast<i64>(r.ops))
           .field("seconds", r.seconds)
           .field("ops_per_sec", r.ops_per_sec());
       if (r.heap_pushes >= 0) w.field("heap_pushes", r.heap_pushes);
+      if (r.events >= 0) w.field("events", r.events).field("fused", r.fused);
     });
   }
   std::cout << table;

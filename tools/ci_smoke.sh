@@ -50,9 +50,11 @@ EOF
 echo "== simulator hot-path bench (quick scale, JSON schema only) =="
 # Host timings are advisory on shared runners, so nothing here gates on a
 # speed number: the gate is that the bench runs every series and emits a
-# well-formed BENCH_host_sim.json that bench_diff can consume. One gate is
+# well-formed BENCH_host_sim.json that bench_diff can consume. Two gates are
 # deterministic: event_queue/region_restart (a long region, then shorter
-# ones restarting at time 0) must schedule nothing on the overflow heap.
+# ones restarting at time 0) must schedule nothing on the overflow heap, and
+# every machine/smp/* series must take some dispatches inline (fused > 0),
+# so a refactor cannot silently turn the SMP's fused dispatch off.
 ARCHGRAPH_BENCH_SCALE=quick ARCHGRAPH_BENCH_JSON="$OUT_DIR" \
     "$BUILD_DIR"/bench/micro_sim_hotpath >/dev/null
 python3 - "$OUT_DIR/BENCH_host_sim.json" <<'EOF'
@@ -78,9 +80,16 @@ restart = [r for r in records if r["benchmark"] == "event_queue/region_restart"]
 assert len(restart) == 1, f"no event_queue/region_restart in {sorted(names)}"
 assert restart[0].get("heap_pushes") == 0, \
     f"region restarts leaked to the overflow heap: {restart[0]}"
+for r in records:
+    if not r["benchmark"].startswith("machine/"):
+        continue
+    assert r.get("events", 0) > 0 and "fused" in r, \
+        f"machine series without event counts: {r}"
+    if r["benchmark"].startswith("machine/smp/"):
+        assert r["fused"] > 0, f"SMP dispatch fusion never fired: {r}"
 
 print(f"ok: {len(records)} hot-path series, schema complete, "
-      "region restarts stay off the heap")
+      "region restarts stay off the heap, SMP dispatch fuses")
 EOF
 "$BUILD_DIR"/tools/bench_diff "$OUT_DIR/BENCH_host_sim.json" \
     "$OUT_DIR/BENCH_host_sim.json" --min-speedup 1.0 \
