@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "sim/memory.hpp"
 
 namespace archgraph::sim {
@@ -254,6 +258,53 @@ TEST(SmpMachine, DirectoryCoversMemoryAllocatedBetweenRegions) {
   EXPECT_EQ(m.stats().invalidations - first_invalidations, 12292);
   EXPECT_EQ(m.stats().interventions, 12316);
   EXPECT_EQ(m.cycles(), 137728);
+}
+
+/// Records the time of every on_advance() call; the rest is ignored.
+class AdvanceRecorder final : public ProfHook {
+ public:
+  void on_prof_region_begin(const Machine&) override {}
+  void on_advance(const Machine&, Cycle region_cycle) override {
+    times.push_back(region_cycle);
+  }
+  void on_access(Addr, AccessClass, bool) override {}
+  void on_prof_region_end(const Machine&) override {}
+
+  std::vector<Cycle> times;
+};
+
+TEST(SmpMachine, ProfilerSeesEveryFusedDispatch) {
+  // Fused dispatches never pass through the queue, yet a profiler must see
+  // one advance per handled event, in time order, exactly as if each had
+  // been pushed and popped, and its presence must not change what fuses.
+  // One processor with two threads (quantum expiries, context switches)
+  // fuses nearly every dispatch. On four processors the two chains
+  // interleave, and fuse only once the shorter thread has finished.
+  for (const u32 procs : {1u, 4u}) {
+    auto run = [procs](ProfHook* hook) {
+      SmpConfig cfg;
+      cfg.processors = procs;
+      cfg.quantum = 2000;
+      auto m = std::make_unique<SmpMachine>(cfg);
+      m->set_prof_hook(hook);
+      SimArray<i64> data(m->memory(), 2048);
+      m->spawn(writer_kernel, data, i64{0}, i64{1536});
+      m->spawn(writer_kernel, data, i64{1536}, i64{2048});
+      m->run_region();
+      return m;
+    };
+    AdvanceRecorder rec;
+    const auto profiled = run(&rec);
+    const auto plain = run(nullptr);
+    EXPECT_GT(profiled->events_fused(), 0u) << procs;
+    EXPECT_EQ(rec.times.size(),
+              profiled->events_pushed() + profiled->events_fused())
+        << procs;
+    EXPECT_TRUE(std::is_sorted(rec.times.begin(), rec.times.end())) << procs;
+    EXPECT_EQ(profiled->events_fused(), plain->events_fused()) << procs;
+    EXPECT_EQ(profiled->events_pushed(), plain->events_pushed()) << procs;
+    EXPECT_EQ(profiled->cycles(), plain->cycles()) << procs;
+  }
 }
 
 TEST(SmpMachine, RejectsTooManyProcessors) {
