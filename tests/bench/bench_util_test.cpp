@@ -162,6 +162,8 @@ TEST(CannedSweeps, QuickGridCellCounts) {
   EXPECT_EQ(sweep::expand_all(ci_sweep_specs()).cells.size(), 2u);
   // gpu gate: 4 graph kernels + lr_walk, all on gpu:procs=2.
   EXPECT_EQ(sweep::expand_all(gpu_sweep_specs()).cells.size(), 5u);
+  // kernels gate: 3 machines x (4 list kernels x 2 layouts + 9 graph kernels).
+  EXPECT_EQ(sweep::expand_all(kernels_sweep_specs()).cells.size(), 51u);
 }
 
 TEST(CannedSweeps, Fig1CarriesTheScaledL2AndBothLayouts) {
