@@ -41,54 +41,44 @@ SimThread seq_rank_kernel(Ctx ctx, i64 /*worker*/, i64 /*workers*/,
 SimThread wyllie_round_kernel(Ctx ctx, i64 worker, i64 workers,
                               SimArray<i64> dist_old, SimArray<i64> next_old,
                               SimArray<i64> dist_new, SimArray<i64> next_new) {
-  co_await simk::for_static(
-      ctx, worker, workers, dist_old.size(),
-      [&](i64 lo, i64 hi) -> sim::SimTask {
-        for (i64 i = lo; i < hi; ++i) {
-          const i64 succ = co_await ctx.load(next_old.addr(i));
-          co_await ctx.compute(1);
-          const i64 d = co_await ctx.load(dist_old.addr(i));
-          if (succ >= 0) {
-            const i64 ds = co_await ctx.load(dist_old.addr(succ));
-            co_await ctx.store(dist_new.addr(i), d + ds);
-            const i64 s2 = co_await ctx.load(next_old.addr(succ));
-            co_await ctx.store(next_new.addr(i), s2);
-          } else {
-            co_await ctx.store(dist_new.addr(i), d);
-            co_await ctx.store(next_new.addr(i), -1);
-          }
-        }
-        co_return 0;
-      });
+  const simk::Range r = simk::static_block(dist_old.size(), worker, workers);
+  for (i64 i = r.lo; i < r.hi; ++i) {
+    const i64 succ = co_await ctx.load(next_old.addr(i));
+    co_await ctx.compute(1);
+    const i64 d = co_await ctx.load(dist_old.addr(i));
+    if (succ >= 0) {
+      const i64 ds = co_await ctx.load(dist_old.addr(succ));
+      co_await ctx.store(dist_new.addr(i), d + ds);
+      const i64 s2 = co_await ctx.load(next_old.addr(succ));
+      co_await ctx.store(next_new.addr(i), s2);
+    } else {
+      co_await ctx.store(dist_new.addr(i), d);
+      co_await ctx.store(next_new.addr(i), -1);
+    }
+  }
 }
 
 SimThread wyllie_init_kernel(Ctx ctx, i64 worker, i64 workers,
                              SimArray<i64> lst, SimArray<i64> dist,
                              SimArray<i64> next) {
-  co_await simk::for_static(
-      ctx, worker, workers, lst.size(), [&](i64 lo, i64 hi) -> sim::SimTask {
-        for (i64 i = lo; i < hi; ++i) {
-          const i64 succ = co_await ctx.load(lst.addr(i));
-          co_await ctx.compute(1);
-          co_await ctx.store(dist.addr(i), succ >= 0 ? 1 : 0);
-          co_await ctx.store(next.addr(i), succ);
-        }
-        co_return 0;
-      });
+  const simk::Range r = simk::static_block(lst.size(), worker, workers);
+  for (i64 i = r.lo; i < r.hi; ++i) {
+    const i64 succ = co_await ctx.load(lst.addr(i));
+    co_await ctx.compute(1);
+    co_await ctx.store(dist.addr(i), succ >= 0 ? 1 : 0);
+    co_await ctx.store(next.addr(i), succ);
+  }
 }
 
 SimThread wyllie_final_kernel(Ctx ctx, i64 worker, i64 workers,
                               SimArray<i64> dist, SimArray<i64> rank) {
   const i64 n = dist.size();
-  co_await simk::for_static(
-      ctx, worker, workers, n, [&](i64 lo, i64 hi) -> sim::SimTask {
-        for (i64 i = lo; i < hi; ++i) {
-          const i64 to_tail = co_await ctx.load(dist.addr(i));
-          co_await ctx.store(rank.addr(i), (n - 1) - to_tail);
-          co_await ctx.compute(1);
-        }
-        co_return 0;
-      });
+  const simk::Range r = simk::static_block(n, worker, workers);
+  for (i64 i = r.lo; i < r.hi; ++i) {
+    const i64 to_tail = co_await ctx.load(dist.addr(i));
+    co_await ctx.store(rank.addr(i), (n - 1) - to_tail);
+    co_await ctx.compute(1);
+  }
 }
 
 SimThread seq_uf_kernel(Ctx ctx, i64 /*worker*/, i64 /*workers*/,

@@ -15,14 +15,21 @@
 // relies on freshly allocated simulated memory being zeroed, the same
 // convention every kernel's uninitialized scratch uses.
 //
-// Both drivers run on the frontier substrate (frontier.hpp):
+// Both drivers run on the frontier data shapes (frontier.hpp), with the
+// frontier scan, the neighbor scan and the push written inline in each
+// thread's one coroutine frame:
 //   MTA shape: a region per seek (bfs.seek#c, one sequential stream probing
-//              visited words) and per level (bfs.level#k, dynamic fetch_add
-//              chunk claiming over the sparse frontier), host bookkeeping
-//              between regions.
+//              visited words) and per level (bfs.level#k, simk::claim chunks
+//              over the sparse frontier), host bookkeeping between regions.
 //   SMP shape: a single region, p threads, alternating barrier-separated
 //              seek (worker 0 scans; everyone re-reads sizes) and expand
 //              (static frontier partition) phases.
+//
+// Expanding frontier vertex u: one load of u from the frontier, the CSR
+// bounds loads plus one compute, then per arc one target load, one fetch_add
+// claim on the neighbor's visited word and a compute to test it; winners
+// store parent and level and append to the next frontier (fetch_add on its
+// size cursor + store; no flag claim — visited is the dedup).
 #include <algorithm>
 #include <string>
 
@@ -45,27 +52,6 @@ using sim::Ctx;
 using sim::SimArray;
 using sim::SimThread;
 
-/// Expand one frontier vertex u: per arc, one fetch_add claim on the
-/// neighbor's visited word and a compute to test it; winners store parent
-/// and level and append to the next frontier (no flag claim — visited is
-/// the dedup).
-sim::SimTask expand_vertex(Ctx ctx, SimCsr csr, SimArray<i64> visited,
-                           SimArray<i64> parent, SimArray<i64> level,
-                           Frontier nxt, i64 depth, i64 u) {
-  co_await frontier::neighbors_map(
-      ctx, csr, u, [&](i64 src, i64 w) -> sim::SimTask {
-        const i64 seen = co_await ctx.fetch_add(visited.addr(w), 1);
-        co_await ctx.compute(1);  // claim test
-        if (seen == 0) {
-          co_await ctx.store(parent.addr(w), src);
-          co_await ctx.store(level.addr(w), depth);
-          co_await nxt.push_nodedup(ctx, w);
-        }
-        co_return 0;
-      });
-  co_return 0;
-}
-
 // --------------------------------------------------------------- MTA shape
 
 /// Sequential charged scan for the next unvisited vertex from `start`: one
@@ -83,7 +69,8 @@ SimThread bfs_seek_kernel(Ctx ctx, i64 /*worker*/, i64 /*workers*/,
       co_await ctx.fetch_add(visited.addr(v), 1);  // uncontended claim
       co_await ctx.store(parent.addr(v), v);
       co_await ctx.store(level.addr(v), 0);
-      co_await f.push_nodedup(ctx, v);
+      const i64 idx = co_await ctx.fetch_add(f.count_addr(), 1);
+      co_await ctx.store(f.vert_addr(idx), v);
       co_await ctx.store(found.addr(0), v);
       co_return;
     }
@@ -96,13 +83,27 @@ SimThread bfs_expand_kernel(Ctx ctx, i64 /*worker*/, i64 /*workers*/,
                             SimArray<i64> parent, SimArray<i64> level,
                             Frontier cur, Frontier nxt, Addr counter, i64 size,
                             i64 depth, i64 chunk) {
-  co_await frontier::vertex_map_sparse_dynamic(
-      ctx, cur, counter, size, chunk, /*consume=*/false,
-      [&](i64 u) -> sim::SimTask {
-        co_await expand_vertex(ctx, csr, visited, parent, level, nxt, depth,
-                               u);
-        co_return 0;
-      });
+  while (true) {
+    const simk::Range r = co_await simk::claim(ctx, counter, size, chunk);
+    if (r.empty()) break;
+    for (i64 i = r.lo; i < r.hi; ++i) {
+      const i64 u = co_await ctx.load(cur.vert_addr(i));
+      const i64 lo = co_await ctx.load(csr.offsets.addr(u));
+      const i64 hi = co_await ctx.load(csr.offsets.addr(u + 1));
+      co_await ctx.compute(1);  // loop setup: bounds into registers
+      for (i64 a = lo; a < hi; ++a) {
+        const i64 w = co_await ctx.load(csr.targets.addr(a));
+        const i64 seen = co_await ctx.fetch_add(visited.addr(w), 1);
+        co_await ctx.compute(1);  // claim test
+        if (seen == 0) {
+          co_await ctx.store(parent.addr(w), u);
+          co_await ctx.store(level.addr(w), depth);
+          const i64 idx = co_await ctx.fetch_add(nxt.count_addr(), 1);
+          co_await ctx.store(nxt.vert_addr(idx), w);
+        }
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------------- SMP shape
@@ -142,7 +143,8 @@ SimThread bfs_smp_kernel(Ctx ctx, i64 worker, i64 workers, SimCsr csr,
           co_await ctx.fetch_add(visited.addr(root), 1);  // uncontended claim
           co_await ctx.store(parent.addr(root), root);
           co_await ctx.store(level.addr(root), 0);
-          co_await cur.push_nodedup(ctx, root);
+          const i64 idx = co_await ctx.fetch_add(cur.count_addr(), 1);
+          co_await ctx.store(cur.vert_addr(idx), root);
         }
         co_await ctx.store(status.addr(0), root);
       }
@@ -164,13 +166,24 @@ SimThread bfs_smp_kernel(Ctx ctx, i64 worker, i64 workers, SimCsr csr,
     }
 
     // Expand phase: my block of the frontier into the next one.
-    co_await frontier::vertex_map_sparse_static(
-        ctx, worker, workers, cur, size, /*consume=*/false,
-        [&](i64 u) -> sim::SimTask {
-          co_await expand_vertex(ctx, csr, visited, parent, level, nxt, depth,
-                                 u);
-          co_return 0;
-        });
+    const simk::Range block = simk::static_block(size, worker, workers);
+    for (i64 i = block.lo; i < block.hi; ++i) {
+      const i64 u = co_await ctx.load(cur.vert_addr(i));
+      const i64 lo = co_await ctx.load(csr.offsets.addr(u));
+      const i64 hi = co_await ctx.load(csr.offsets.addr(u + 1));
+      co_await ctx.compute(1);  // loop setup: bounds into registers
+      for (i64 a = lo; a < hi; ++a) {
+        const i64 w = co_await ctx.load(csr.targets.addr(a));
+        const i64 seen = co_await ctx.fetch_add(visited.addr(w), 1);
+        co_await ctx.compute(1);  // claim test
+        if (seen == 0) {
+          co_await ctx.store(parent.addr(w), u);
+          co_await ctx.store(level.addr(w), depth);
+          const i64 idx = co_await ctx.fetch_add(nxt.count_addr(), 1);
+          co_await ctx.store(nxt.vert_addr(idx), w);
+        }
+      }
+    }
     co_await ctx.barrier();
 
     ++rounds;

@@ -8,11 +8,9 @@
 // repeated until an iteration grafts nothing. Workers claim edge chunks with
 // int_fetch_add (the #pragma mta assert parallel scheduling).
 //
-// The loops are expressed with the frontier substrate's edge_map/vertex_map
-// wrappers (frontier.hpp): edge_map_slots_dynamic charges the two endpoint
-// loads per slot and the per-chunk fetch_add claim; the per-edge body below
-// charges the rest — the issue-slot stream is exactly the hand-rolled
-// original's.
+// Each kernel is one coroutine per worker: the graft and shortcut loops
+// claim chunks with simk::claim (one fetch_add per chunk) and scan the edge
+// slots inline with frontier.hpp's charges (two endpoint loads per slot).
 //
 // Issue-slot count per edge: 2 loads (edge endpoints, contiguous) + 2 loads
 // (D[u], D[v], non-contiguous) + 2 ALU, plus a D[D[v]] load and up to two
@@ -38,52 +36,58 @@ using sim::SimArray;
 using sim::SimThread;
 
 SimThread iota_kernel(Ctx ctx, i64 worker, i64 workers, SimArray<i64> arr) {
-  co_await frontier::vertex_map_all_static(ctx, worker, workers, arr.size(),
-                                           [&](i64 i) -> sim::SimTask {
-                                             co_await ctx.store(arr.addr(i), i);
-                                             co_await ctx.compute(1);
-                                             co_return 0;
-                                           });
+  const simk::Range r = simk::static_block(arr.size(), worker, workers);
+  for (i64 i = r.lo; i < r.hi; ++i) {
+    co_await ctx.store(arr.addr(i), i);
+    co_await ctx.compute(1);
+  }
 }
 
 SimThread graft_kernel(Ctx ctx, i64 /*worker*/, i64 /*workers*/,
                        frontier::EdgeSlots es, SimArray<i64> d, Addr counter,
                        Addr graft_flag, i64 chunk) {
-  co_await frontier::edge_map_slots_dynamic(
-      ctx, es, counter, chunk, [&](i64 u, i64 v) -> sim::SimTask {
-        const i64 du = co_await ctx.load(d.addr(u));
-        const i64 dv = co_await ctx.load(d.addr(v));
-        co_await ctx.compute(2);  // compare chain + loop bookkeeping
-        if (du < dv) {
-          const i64 ddv = co_await ctx.load(d.addr(dv));
-          if (ddv == dv) {
-            co_await ctx.store(d.addr(dv), du);
-            co_await ctx.store(graft_flag, 1);
-          }
+  while (true) {
+    const simk::Range r =
+        co_await simk::claim(ctx, counter, es.slots(), chunk);
+    if (r.empty()) break;
+    for (i64 i = r.lo; i < r.hi; ++i) {
+      const i64 u = co_await ctx.load(es.eu.addr(i));
+      const i64 v = co_await ctx.load(es.ev.addr(i));
+      const i64 du = co_await ctx.load(d.addr(u));
+      const i64 dv = co_await ctx.load(d.addr(v));
+      co_await ctx.compute(2);  // compare chain + loop bookkeeping
+      if (du < dv) {
+        const i64 ddv = co_await ctx.load(d.addr(dv));
+        if (ddv == dv) {
+          co_await ctx.store(d.addr(dv), du);
+          co_await ctx.store(graft_flag, 1);
         }
-        co_return 0;
-      });
+      }
+    }
+  }
 }
 
 SimThread shortcut_kernel(Ctx ctx, i64 /*worker*/, i64 /*workers*/,
                           SimArray<i64> d, Addr counter, i64 chunk) {
-  co_await frontier::vertex_map_all_dynamic(
-      ctx, counter, d.size(), chunk, [&](i64 i) -> sim::SimTask {
-        i64 cur = co_await ctx.load(d.addr(i));
+  while (true) {
+    const simk::Range r = co_await simk::claim(ctx, counter, d.size(), chunk);
+    if (r.empty()) break;
+    for (i64 i = r.lo; i < r.hi; ++i) {
+      i64 cur = co_await ctx.load(d.addr(i));
+      co_await ctx.compute(1);
+      bool moved = false;
+      while (true) {
+        const i64 up = co_await ctx.load(d.addr(cur));
         co_await ctx.compute(1);
-        bool moved = false;
-        while (true) {
-          const i64 up = co_await ctx.load(d.addr(cur));
-          co_await ctx.compute(1);
-          if (up == cur) break;
-          cur = up;
-          moved = true;
-        }
-        if (moved) {
-          co_await ctx.store(d.addr(i), cur);
-        }
-        co_return 0;
-      });
+        if (up == cur) break;
+        cur = up;
+        moved = true;
+      }
+      if (moved) {
+        co_await ctx.store(d.addr(i), cur);
+      }
+    }
+  }
 }
 
 }  // namespace

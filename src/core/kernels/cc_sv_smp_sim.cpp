@@ -6,9 +6,9 @@
 // flags that thread 0 combines (avoiding a hot shared flag word — one of the
 // Greiner/Krishnamurthy-style optimizations the paper cites).
 //
-// The loops are expressed with the frontier substrate's static edge_map /
-// vertex_map wrappers (frontier.hpp); the issue-slot stream is exactly the
-// hand-rolled original's.
+// Each thread runs every phase inline in its one coroutine frame, over its
+// simk::static_block of the edge slots (frontier.hpp's per-slot charges) or
+// of the vertices.
 //
 // Cache behaviour this exposes on the SMP model: the edge scan is contiguous
 // (amortized by the line size), but D[u], D[v], D[D[v]] are non-contiguous —
@@ -38,35 +38,34 @@ SimThread sv_smp_kernel(Ctx ctx, i64 worker, i64 workers,
                         SimArray<i64> flags, SimArray<i64> cont,
                         SimArray<i64> iters, i64 max_iters) {
   const i64 n = d.size();
+  const simk::Range vblock = simk::static_block(n, worker, workers);
+  const simk::Range eblock = simk::static_block(es.slots(), worker, workers);
 
   // Init: D[i] = i over my vertex block, then the phase barrier.
-  co_await frontier::vertex_map_all_static(
-      ctx, worker, workers, n,
-      [&](i64 i) -> sim::SimTask {
-        co_await ctx.store(d.addr(i), i);
-        co_await ctx.compute(1);
-        co_return 0;
-      },
-      /*barrier_after=*/true);
+  for (i64 i = vblock.lo; i < vblock.hi; ++i) {
+    co_await ctx.store(d.addr(i), i);
+    co_await ctx.compute(1);
+  }
+  co_await ctx.barrier();
 
   i64 iteration = 0;
   while (true) {
     // Graft phase over my edge slots.
     i64 grafted = 0;
-    co_await frontier::edge_map_slots_static(
-        ctx, worker, workers, es, [&](i64 u, i64 v) -> sim::SimTask {
-          const i64 du = co_await ctx.load(d.addr(u));
-          const i64 dv = co_await ctx.load(d.addr(v));
-          co_await ctx.compute(2);
-          if (du < dv) {
-            const i64 ddv = co_await ctx.load(d.addr(dv));
-            if (ddv == dv) {
-              co_await ctx.store(d.addr(dv), du);
-              grafted = 1;
-            }
-          }
-          co_return 0;
-        });
+    for (i64 i = eblock.lo; i < eblock.hi; ++i) {
+      const i64 u = co_await ctx.load(es.eu.addr(i));
+      const i64 v = co_await ctx.load(es.ev.addr(i));
+      const i64 du = co_await ctx.load(d.addr(u));
+      const i64 dv = co_await ctx.load(d.addr(v));
+      co_await ctx.compute(2);
+      if (du < dv) {
+        const i64 ddv = co_await ctx.load(d.addr(dv));
+        if (ddv == dv) {
+          co_await ctx.store(d.addr(dv), du);
+          grafted = 1;
+        }
+      }
+    }
     co_await ctx.store(flags.addr(worker), grafted);
     co_await ctx.barrier();
 
@@ -90,25 +89,22 @@ SimThread sv_smp_kernel(Ctx ctx, i64 worker, i64 workers,
              "simulated Shiloach-Vishkin failed to converge");
 
     // Shortcut phase over my vertex block, then the phase barrier.
-    co_await frontier::vertex_map_all_static(
-        ctx, worker, workers, n,
-        [&](i64 i) -> sim::SimTask {
-          i64 cur = co_await ctx.load(d.addr(i));
-          co_await ctx.compute(1);
-          bool moved = false;
-          while (true) {
-            const i64 up = co_await ctx.load(d.addr(cur));
-            co_await ctx.compute(1);
-            if (up == cur) break;
-            cur = up;
-            moved = true;
-          }
-          if (moved) {
-            co_await ctx.store(d.addr(i), cur);
-          }
-          co_return 0;
-        },
-        /*barrier_after=*/true);
+    for (i64 i = vblock.lo; i < vblock.hi; ++i) {
+      i64 cur = co_await ctx.load(d.addr(i));
+      co_await ctx.compute(1);
+      bool moved = false;
+      while (true) {
+        const i64 up = co_await ctx.load(d.addr(cur));
+        co_await ctx.compute(1);
+        if (up == cur) break;
+        cur = up;
+        moved = true;
+      }
+      if (moved) {
+        co_await ctx.store(d.addr(i), cur);
+      }
+    }
+    co_await ctx.barrier();
   }
 }
 

@@ -12,13 +12,27 @@
 // so both drivers are differentially tested for equality, not mere
 // properness. Rounds, not colors, are where the schedules differ.
 //
-// Both drivers run on the frontier substrate (frontier.hpp):
+// Both drivers run on the frontier data shapes (frontier.hpp), with every
+// loop written inline in each thread's one coroutine frame:
 //   MTA shape: one dynamically-scheduled region per phase per round
-//              (color.tentative#k / color.propagate#k), fetch_add chunk
+//              (color.tentative#k / color.propagate#k), simk::claim chunk
 //              claiming, host-side frontier bookkeeping between regions.
 //   SMP shape: a single region, p threads, barrier-separated
 //              tentative / propagate / combine phases, statically
 //              partitioned frontiers, worker-0 bookkeeping in the combine.
+//
+// Tentative recolor of v: the CSR bounds loads plus one compute, then per
+// arc either the branchy (compare, and for lower neighbors load + mask set)
+// or predicated (unconditional load + compute(2)) stream; one palette probe
+// per candidate color (compute(mex+1)); one load + compare of the old color;
+// and on a change one store plus the changed-list append (fetch_add on its
+// size cursor + store). Entries of the active set cost a flag-clearing
+// store each (dense: every vertex; sparse: one verts[i] load first).
+//
+// Conflict propagation from changed u: one verts[i] load, the CSR bounds
+// loads plus one compute, then per arc a target load and an id compare;
+// each higher-id neighbor is pushed into the next active set with the
+// deduplicating claim (fetch_add on its flag + compute; winners append).
 //
 // The branch_avoiding param selects the Green/Dukhan/Vuduc predicated inner
 // loop: every neighbor color is loaded and folded into the palette mask with
@@ -49,19 +63,59 @@ using sim::Ctx;
 using sim::SimArray;
 using sim::SimThread;
 
-/// Tentative recolor of v: gather lower-id neighbor colors, take the mex,
-/// commit a change and append v to the changed list. Charges: the
-/// neighbors_map bounds loads, then per arc either the branchy (compare,
-/// and for lower neighbors load + mask set) or predicated (unconditional
-/// load + compute(2)) stream; one palette probe per candidate color
-/// (compute(mex+1)); one load + compare of the old color; and on a change
-/// one store plus the changed-list append (fetch_add + store).
-sim::SimTask tentative_vertex(Ctx ctx, SimCsr csr, SimArray<i64> color,
-                              Frontier changed, bool branch_avoiding, i64 v) {
+/// Smallest color absent from `seen` (sorted in place). Host-side: the
+/// kernels charge the palette probes with compute(mex + 1).
+i64 mex_of(std::vector<i64>& seen) {
+  std::sort(seen.begin(), seen.end());
+  i64 mex = 0;
+  for (const i64 c : seen) {
+    if (c == mex) {
+      ++mex;
+    } else if (c > mex) {
+      break;
+    }
+  }
+  return mex;
+}
+
+// --------------------------------------------------------------- MTA shape
+
+SimThread color_init_kernel(Ctx ctx, i64 /*worker*/, i64 /*workers*/,
+                            SimArray<i64> color, Addr counter, i64 chunk) {
+  while (true) {
+    const simk::Range r =
+        co_await simk::claim(ctx, counter, color.size(), chunk);
+    if (r.empty()) break;
+    for (i64 i = r.lo; i < r.hi; ++i) {
+      co_await ctx.store(color.addr(i), 0);
+      co_await ctx.compute(1);
+    }
+  }
+}
+
+/// Tentative pass over the active set `cur`: `items` is every vertex when
+/// `dense`, else the size of its sparse list.
+SimThread tentative_kernel(Ctx ctx, i64 /*worker*/, i64 /*workers*/,
+                           SimCsr csr, SimArray<i64> color, Frontier cur,
+                           Frontier changed, Addr counter, i64 items,
+                           i64 chunk, i64 dense, i64 branch_avoiding) {
   std::vector<i64> seen;  // host scratch; the ALU cost is charged explicitly
-  co_await frontier::neighbors_map(
-      ctx, csr, v, [&](i64 /*src*/, i64 w) -> sim::SimTask {
-        if (branch_avoiding) {
+  while (true) {
+    const simk::Range r = co_await simk::claim(ctx, counter, items, chunk);
+    if (r.empty()) break;
+    for (i64 i = r.lo; i < r.hi; ++i) {
+      i64 v = i;
+      if (dense == 0) {
+        v = co_await ctx.load(cur.vert_addr(i));
+      }
+      co_await ctx.store(cur.flag_addr(v), 0);  // consume
+      const i64 lo = co_await ctx.load(csr.offsets.addr(v));
+      const i64 hi = co_await ctx.load(csr.offsets.addr(v + 1));
+      co_await ctx.compute(1);  // loop setup: bounds into registers
+      seen.clear();
+      for (i64 a = lo; a < hi; ++a) {
+        const i64 w = co_await ctx.load(csr.targets.addr(a));
+        if (branch_avoiding != 0) {
           const i64 cw = co_await ctx.load(color.addr(w));
           co_await ctx.compute(2);  // mask = (w < v); predicated mask fold
           if (w < v) seen.push_back(cw);
@@ -73,88 +127,45 @@ sim::SimTask tentative_vertex(Ctx ctx, SimCsr csr, SimArray<i64> color,
             seen.push_back(cw);
           }
         }
-        co_return 0;
-      });
-  std::sort(seen.begin(), seen.end());
-  i64 mex = 0;
-  for (const i64 c : seen) {
-    if (c == mex) {
-      ++mex;
-    } else if (c > mex) {
-      break;
+      }
+      const i64 mex = mex_of(seen);
+      co_await ctx.compute(mex + 1);  // palette probe per candidate color
+      const i64 old = co_await ctx.load(color.addr(v));
+      co_await ctx.compute(1);  // changed?
+      if (old != mex) {
+        co_await ctx.store(color.addr(v), mex);
+        const i64 idx = co_await ctx.fetch_add(changed.count_addr(), 1);
+        co_await ctx.store(changed.vert_addr(idx), v);
+      }
     }
   }
-  co_await ctx.compute(mex + 1);  // palette probe per candidate color
-  const i64 old = co_await ctx.load(color.addr(v));
-  co_await ctx.compute(1);  // changed?
-  if (old != mex) {
-    co_await ctx.store(color.addr(v), mex);
-    co_await changed.push_nodedup(ctx, v);
-  }
-  co_return 0;
-}
-
-/// Conflict propagation from changed u: activate every higher-id neighbor
-/// into the next active frontier (deduplicated by Frontier::push's claim).
-sim::SimTask propagate_vertex(Ctx ctx, SimCsr csr, Frontier next, i64 u) {
-  co_await frontier::neighbors_map(ctx, csr, u,
-                                   [&](i64 /*src*/, i64 w) -> sim::SimTask {
-                                     co_await ctx.compute(1);  // id compare
-                                     if (w > u) {
-                                       co_await next.push(ctx, w);
-                                     }
-                                     co_return 0;
-                                   });
-  co_return 0;
-}
-
-// --------------------------------------------------------------- MTA shape
-
-SimThread color_init_kernel(Ctx ctx, i64 /*worker*/, i64 /*workers*/,
-                            SimArray<i64> color, Addr counter, i64 chunk) {
-  co_await frontier::vertex_map_all_dynamic(ctx, counter, color.size(), chunk,
-                                            [&](i64 i) -> sim::SimTask {
-                                              co_await ctx.store(color.addr(i),
-                                                                 0);
-                                              co_await ctx.compute(1);
-                                              co_return 0;
-                                            });
-}
-
-SimThread tentative_dense_kernel(Ctx ctx, i64 /*worker*/, i64 /*workers*/,
-                                 SimCsr csr, SimArray<i64> color, Frontier cur,
-                                 Frontier changed, Addr counter, i64 chunk,
-                                 i64 branch_avoiding) {
-  co_await frontier::vertex_map_dense_dynamic(
-      ctx, cur, counter, chunk, [&](i64 v) -> sim::SimTask {
-        co_await tentative_vertex(ctx, csr, color, changed,
-                                  branch_avoiding != 0, v);
-        co_return 0;
-      });
-}
-
-SimThread tentative_sparse_kernel(Ctx ctx, i64 /*worker*/, i64 /*workers*/,
-                                  SimCsr csr, SimArray<i64> color,
-                                  Frontier cur, Frontier changed, Addr counter,
-                                  i64 size, i64 chunk, i64 branch_avoiding) {
-  co_await frontier::vertex_map_sparse_dynamic(
-      ctx, cur, counter, size, chunk, /*consume=*/true,
-      [&](i64 v) -> sim::SimTask {
-        co_await tentative_vertex(ctx, csr, color, changed,
-                                  branch_avoiding != 0, v);
-        co_return 0;
-      });
 }
 
 SimThread propagate_kernel(Ctx ctx, i64 /*worker*/, i64 /*workers*/,
                            SimCsr csr, Frontier changed, Frontier next,
                            Addr counter, i64 size, i64 chunk) {
-  co_await frontier::vertex_map_sparse_dynamic(
-      ctx, changed, counter, size, chunk, /*consume=*/false,
-      [&](i64 u) -> sim::SimTask {
-        co_await propagate_vertex(ctx, csr, next, u);
-        co_return 0;
-      });
+  while (true) {
+    const simk::Range r = co_await simk::claim(ctx, counter, size, chunk);
+    if (r.empty()) break;
+    for (i64 i = r.lo; i < r.hi; ++i) {
+      const i64 u = co_await ctx.load(changed.vert_addr(i));
+      const i64 lo = co_await ctx.load(csr.offsets.addr(u));
+      const i64 hi = co_await ctx.load(csr.offsets.addr(u + 1));
+      co_await ctx.compute(1);  // loop setup: bounds into registers
+      for (i64 a = lo; a < hi; ++a) {
+        const i64 w = co_await ctx.load(csr.targets.addr(a));
+        co_await ctx.compute(1);  // id compare
+        if (w > u) {
+          const i64 claimed = co_await ctx.fetch_add(next.flag_addr(w), 1);
+          co_await ctx.compute(1);  // claim test
+          if (claimed == 0) {
+            const i64 idx = co_await ctx.fetch_add(next.count_addr(), 1);
+            co_await ctx.store(next.vert_addr(idx), w);
+          }
+        }
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------------- SMP shape
@@ -165,16 +176,15 @@ SimThread color_smp_kernel(Ctx ctx, i64 worker, i64 workers, SimCsr csr,
                            i64 branch_avoiding, i64 dense_denom,
                            i64 max_rounds) {
   const i64 n = color.size();
+  std::vector<i64> seen;  // host scratch; the ALU cost is charged explicitly
 
   // Init: color[i] = 0 over my vertex block, then the phase barrier.
-  co_await frontier::vertex_map_all_static(
-      ctx, worker, workers, n,
-      [&](i64 i) -> sim::SimTask {
-        co_await ctx.store(color.addr(i), 0);
-        co_await ctx.compute(1);
-        co_return 0;
-      },
-      /*barrier_after=*/true);
+  const simk::Range vblock = simk::static_block(n, worker, workers);
+  for (i64 i = vblock.lo; i < vblock.hi; ++i) {
+    co_await ctx.store(color.addr(i), 0);
+    co_await ctx.compute(1);
+  }
+  co_await ctx.barrier();
 
   Frontier bufs[2] = {act0, act1};
   i64 parity = 0;
@@ -185,22 +195,44 @@ SimThread color_smp_kernel(Ctx ctx, i64 worker, i64 workers, SimCsr csr,
     Frontier cur = bufs[parity];
     Frontier nxt = bufs[1 - parity];
 
-    // Tentative phase over the active set.
-    if (dense) {
-      co_await frontier::vertex_map_dense_static(
-          ctx, worker, workers, cur, [&](i64 v) -> sim::SimTask {
-            co_await tentative_vertex(ctx, csr, color, changed,
-                                      branch_avoiding != 0, v);
-            co_return 0;
-          });
-    } else {
-      co_await frontier::vertex_map_sparse_static(
-          ctx, worker, workers, cur, size, /*consume=*/true,
-          [&](i64 v) -> sim::SimTask {
-            co_await tentative_vertex(ctx, csr, color, changed,
-                                      branch_avoiding != 0, v);
-            co_return 0;
-          });
+    // Tentative phase over my block of the active set.
+    const simk::Range tblock = dense ? vblock
+                                     : simk::static_block(size, worker,
+                                                          workers);
+    for (i64 i = tblock.lo; i < tblock.hi; ++i) {
+      i64 v = i;
+      if (!dense) {
+        v = co_await ctx.load(cur.vert_addr(i));
+      }
+      co_await ctx.store(cur.flag_addr(v), 0);  // consume
+      const i64 lo = co_await ctx.load(csr.offsets.addr(v));
+      const i64 hi = co_await ctx.load(csr.offsets.addr(v + 1));
+      co_await ctx.compute(1);  // loop setup: bounds into registers
+      seen.clear();
+      for (i64 a = lo; a < hi; ++a) {
+        const i64 w = co_await ctx.load(csr.targets.addr(a));
+        if (branch_avoiding != 0) {
+          const i64 cw = co_await ctx.load(color.addr(w));
+          co_await ctx.compute(2);  // mask = (w < v); predicated mask fold
+          if (w < v) seen.push_back(cw);
+        } else {
+          co_await ctx.compute(1);  // id compare + branch
+          if (w < v) {
+            const i64 cw = co_await ctx.load(color.addr(w));
+            co_await ctx.compute(1);  // palette-mask set
+            seen.push_back(cw);
+          }
+        }
+      }
+      const i64 mex = mex_of(seen);
+      co_await ctx.compute(mex + 1);  // palette probe per candidate color
+      const i64 old = co_await ctx.load(color.addr(v));
+      co_await ctx.compute(1);  // changed?
+      if (old != mex) {
+        co_await ctx.store(color.addr(v), mex);
+        const i64 idx = co_await ctx.fetch_add(changed.count_addr(), 1);
+        co_await ctx.store(changed.vert_addr(idx), v);
+      }
     }
     co_await ctx.barrier();
 
@@ -216,13 +248,26 @@ SimThread color_smp_kernel(Ctx ctx, i64 worker, i64 workers, SimCsr csr,
     AG_CHECK(rounds <= max_rounds,
              "simulated greedy coloring failed to converge");
 
-    // Propagate phase: changed -> next active frontier.
-    co_await frontier::vertex_map_sparse_static(
-        ctx, worker, workers, changed, csize, /*consume=*/false,
-        [&](i64 u) -> sim::SimTask {
-          co_await propagate_vertex(ctx, csr, nxt, u);
-          co_return 0;
-        });
+    // Propagate phase: my block of changed -> next active frontier.
+    const simk::Range pblock = simk::static_block(csize, worker, workers);
+    for (i64 i = pblock.lo; i < pblock.hi; ++i) {
+      const i64 u = co_await ctx.load(changed.vert_addr(i));
+      const i64 lo = co_await ctx.load(csr.offsets.addr(u));
+      const i64 hi = co_await ctx.load(csr.offsets.addr(u + 1));
+      co_await ctx.compute(1);  // loop setup: bounds into registers
+      for (i64 a = lo; a < hi; ++a) {
+        const i64 w = co_await ctx.load(csr.targets.addr(a));
+        co_await ctx.compute(1);  // id compare
+        if (w > u) {
+          const i64 claimed = co_await ctx.fetch_add(nxt.flag_addr(w), 1);
+          co_await ctx.compute(1);  // claim test
+          if (claimed == 0) {
+            const i64 idx = co_await ctx.fetch_add(nxt.count_addr(), 1);
+            co_await ctx.store(nxt.vert_addr(idx), w);
+          }
+        }
+      }
+    }
     co_await ctx.barrier();
 
     // Combine: worker 0 resets the consumed cursors; everyone reads the next
@@ -294,22 +339,13 @@ SimColorResult sim_color_greedy_mta(sim::Machine& machine,
     counter.set(0, 0);
     obs::label_next_region("color.tentative#" +
                            std::to_string(result.rounds + 1));
-    if (dense) {
-      simk::spawn_workers(
-          machine,
-          simk::auto_workers(machine, std::max<i64>(1, n / params.chunk),
-                             params.workers),
-          tentative_dense_kernel, csr, color, *cur, changed, counter.addr(0),
-          params.chunk, ba);
-    } else {
-      const i64 size = cur->host_size();
-      simk::spawn_workers(
-          machine,
-          simk::auto_workers(machine, std::max<i64>(1, size / params.chunk),
-                             params.workers),
-          tentative_sparse_kernel, csr, color, *cur, changed, counter.addr(0),
-          size, params.chunk, ba);
-    }
+    const i64 items = dense ? i64{n} : cur->host_size();
+    simk::spawn_workers(
+        machine,
+        simk::auto_workers(machine, std::max<i64>(1, items / params.chunk),
+                           params.workers),
+        tentative_kernel, csr, color, *cur, changed, counter.addr(0), items,
+        params.chunk, dense ? i64{1} : i64{0}, ba);
     machine.run_region();
     ++result.rounds;
     const i64 nchanged = changed.host_size();

@@ -46,20 +46,4 @@ Frontier::Frontier(sim::SimMemory& mem, i64 n)
   count_.set(0, 0);
 }
 
-sim::SimTask Frontier::push(sim::Ctx ctx, i64 v) {
-  const i64 old = co_await ctx.fetch_add(flag_addr(v), 1);
-  co_await ctx.compute(1);  // claim test
-  if (old == 0) {
-    const i64 idx = co_await ctx.fetch_add(count_addr(), 1);
-    co_await ctx.store(vert_addr(idx), v);
-  }
-  co_return 0;
-}
-
-sim::SimTask Frontier::push_nodedup(sim::Ctx ctx, i64 v) {
-  const i64 idx = co_await ctx.fetch_add(count_addr(), 1);
-  co_await ctx.store(vert_addr(idx), v);
-  co_return 0;
-}
-
 }  // namespace archgraph::core::frontier

@@ -12,6 +12,14 @@
 // Instruction accounting: each load/store/fetch-add costs one issue slot
 // inherently; ALU work is charged with compute(k). The per-loop constants are
 // written at the co_await sites with a comment deriving them.
+//
+// Each simulated thread is one coroutine frame: kernels write every loop
+// inline, with no nested coroutine per edge, vertex, arc, walk or push.
+// Claiming costs come from the simk awaitables (sim_par.hpp): one fetch_add
+// per claim() chunk or dynamic Items item, each worker's final failed claim
+// included; one compute per static Items item; nothing for a static_block.
+// The per-item charges of edge-slot, neighbor and frontier scans and of
+// frontier pushes are listed once in frontier.hpp and written at each site.
 #pragma once
 
 #include <vector>

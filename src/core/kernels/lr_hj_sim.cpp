@@ -45,19 +45,17 @@ SimThread hj_kernel(Ctx ctx, i64 worker, i64 workers, SimArray<i64> lst,
 
   // --- step 0+1: clear the marker array and sum the successor array -------
   // (fused: one pass over each thread's contiguous block).
-  co_await simk::for_static(
-      ctx, worker, workers, n,
-      [&](i64 lo, i64 hi) -> sim::SimTask {
-        i64 z = 0;
-        for (i64 i = lo; i < hi; ++i) {
-          co_await ctx.store(sub_of.addr(i), -1);
-          z += co_await ctx.load(lst.addr(i));
-          co_await ctx.compute(1);
-        }
-        co_await ctx.store(partial.addr(worker), z);
-        co_return 0;
-      },
-      /*barrier_after=*/true);
+  {
+    const simk::Range block = simk::static_block(n, worker, workers);
+    i64 z = 0;
+    for (i64 i = block.lo; i < block.hi; ++i) {
+      co_await ctx.store(sub_of.addr(i), -1);
+      z += co_await ctx.load(lst.addr(i));
+      co_await ctx.compute(1);
+    }
+    co_await ctx.store(partial.addr(worker), z);
+  }
+  co_await ctx.barrier();
 
   // --- step 2: thread 0 selects and marks the sublist heads ---------------
   if (worker == 0) {
@@ -95,37 +93,35 @@ SimThread hj_kernel(Ctx ctx, i64 worker, i64 workers, SimArray<i64> lst,
   co_await ctx.barrier();
 
   // --- step 3: walk my sublists (static assignment, 8 per thread) ---------
-  co_await simk::for_static(
-      ctx, worker, workers, s,
-      [&](i64 klo, i64 khi) -> sim::SimTask {
-        for (i64 k = klo; k < khi; ++k) {
-          i64 j = co_await ctx.load(heads.addr(k));
-          co_await ctx.compute(1);
-          if (j < 0) continue;  // deduplicated-away sublist
-          i64 r = 0;
-          i64 successor_sublist = -1;
-          while (true) {
-            co_await ctx.store(local.addr(j), r);
-            const i64 jn = co_await ctx.load(lst.addr(j));
-            co_await ctx.compute(1);
-            if (jn < 0) {
-              break;  // list tail
-            }
-            const i64 mark = co_await ctx.load(sub_of.addr(jn));
-            if (mark != -1) {
-              successor_sublist = mark;  // jn heads the next sublist
-              break;
-            }
-            co_await ctx.store(sub_of.addr(jn), k);
-            j = jn;
-            ++r;
-          }
-          co_await ctx.store(lens.addr(k), r + 1);
-          co_await ctx.store(succs.addr(k), successor_sublist);
+  {
+    const simk::Range block = simk::static_block(s, worker, workers);
+    for (i64 k = block.lo; k < block.hi; ++k) {
+      i64 j = co_await ctx.load(heads.addr(k));
+      co_await ctx.compute(1);
+      if (j < 0) continue;  // deduplicated-away sublist
+      i64 r = 0;
+      i64 successor_sublist = -1;
+      while (true) {
+        co_await ctx.store(local.addr(j), r);
+        const i64 jn = co_await ctx.load(lst.addr(j));
+        co_await ctx.compute(1);
+        if (jn < 0) {
+          break;  // list tail
         }
-        co_return 0;
-      },
-      /*barrier_after=*/true);
+        const i64 mark = co_await ctx.load(sub_of.addr(jn));
+        if (mark != -1) {
+          successor_sublist = mark;  // jn heads the next sublist
+          break;
+        }
+        co_await ctx.store(sub_of.addr(jn), k);
+        j = jn;
+        ++r;
+      }
+      co_await ctx.store(lens.addr(k), r + 1);
+      co_await ctx.store(succs.addr(k), successor_sublist);
+    }
+  }
+  co_await ctx.barrier();
 
   // --- step 4: thread 0 chains the sublist records into offsets -----------
   if (worker == 0) {
@@ -144,18 +140,14 @@ SimThread hj_kernel(Ctx ctx, i64 worker, i64 workers, SimArray<i64> lst,
   co_await ctx.barrier();
 
   // --- step 5: final contiguous pass ---------------------------------------
-  co_await simk::for_static(ctx, worker, workers, n,
-                            [&](i64 lo, i64 hi) -> sim::SimTask {
-                              for (i64 i = lo; i < hi; ++i) {
-                                const i64 k = co_await ctx.load(sub_of.addr(i));
-                                const i64 r = co_await ctx.load(local.addr(i));
-                                const i64 off =
-                                    co_await ctx.load(offsets.addr(k));
-                                co_await ctx.store(rank.addr(i), off + r);
-                                co_await ctx.compute(1);
-                              }
-                              co_return 0;
-                            });
+  const simk::Range block = simk::static_block(n, worker, workers);
+  for (i64 i = block.lo; i < block.hi; ++i) {
+    const i64 k = co_await ctx.load(sub_of.addr(i));
+    const i64 r = co_await ctx.load(local.addr(i));
+    const i64 off = co_await ctx.load(offsets.addr(k));
+    co_await ctx.store(rank.addr(i), off + r);
+    co_await ctx.compute(1);
+  }
 }
 
 }  // namespace

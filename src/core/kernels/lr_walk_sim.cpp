@@ -44,33 +44,35 @@ using sim::SimThread;
 // The MTA's instruction word is 3-wide (memory op + fused multiply-add +
 // control), so a simple "load/store + accumulate + loop test" iteration is
 // ONE instruction: these streaming kernels charge only the memory op.
+
+/// Parallel sum: static scan of `next` (one load per element) plus one
+/// fetch_add of the worker's partial into `acc`.
 SimThread sum_next_kernel(Ctx ctx, i64 worker, i64 workers,
                           SimArray<i64> next, Addr acc) {
-  co_await simk::reduce_sum(ctx, worker, workers, next, acc);
+  const simk::Range r = simk::static_block(next.size(), worker, workers);
+  i64 local = 0;
+  for (i64 i = r.lo; i < r.hi; ++i) {
+    local += co_await ctx.load(next.addr(i));
+  }
+  co_await ctx.fetch_add(acc, local);
 }
 
 SimThread fill_kernel(Ctx ctx, i64 worker, i64 workers, SimArray<i64> arr,
                       i64 value) {
-  co_await simk::for_static(ctx, worker, workers, arr.size(),
-                            [&](i64 lo, i64 hi) -> sim::SimTask {
-                              for (i64 i = lo; i < hi; ++i) {
-                                co_await ctx.store(arr.addr(i), value);
-                              }
-                              co_return 0;
-                            });
+  const simk::Range r = simk::static_block(arr.size(), worker, workers);
+  for (i64 i = r.lo; i < r.hi; ++i) {
+    co_await ctx.store(arr.addr(i), value);
+  }
 }
 
 SimThread mark_heads_kernel(Ctx ctx, i64 worker, i64 workers,
                             SimArray<i64> heads, SimArray<i64> rank) {
-  co_await simk::for_static(ctx, worker, workers, heads.size(),
-                            [&](i64 lo, i64 hi) -> sim::SimTask {
-                              for (i64 w = lo; w < hi; ++w) {
-                                const i64 h = co_await ctx.load(heads.addr(w));
-                                co_await ctx.store(rank.addr(h), w);
-                                co_await ctx.compute(1);
-                              }
-                              co_return 0;
-                            });
+  const simk::Range r = simk::static_block(heads.size(), worker, workers);
+  for (i64 w = r.lo; w < r.hi; ++w) {
+    const i64 h = co_await ctx.load(heads.addr(w));
+    co_await ctx.store(rank.addr(h), w);
+    co_await ctx.compute(1);
+  }
 }
 
 SimThread walk_kernel(Ctx ctx, i64 worker, i64 workers, SimArray<i64> lst,
@@ -78,31 +80,31 @@ SimThread walk_kernel(Ctx ctx, i64 worker, i64 workers, SimArray<i64> lst,
                       SimArray<i64> len, SimArray<i64> succ,
                       SimArray<i64> tail, Addr counter,
                       simk::Schedule schedule) {
-  co_await simk::for_each(
-      ctx, schedule, counter, worker, workers, heads.size(),
-      [&](i64 w, i64 /*end*/) -> sim::SimTask {
-        i64 j = co_await ctx.load(heads.addr(w));
-        i64 count = 1;  // the head node itself
-        while (true) {
-          const i64 jn = co_await ctx.load(lst.addr(j));
-          co_await ctx.compute(1);  // successor test + count increment
-          if (jn < 0) {  // list tail: this walk ends the list
-            co_await ctx.store(succ.addr(w), -1);
-            co_await ctx.store(tail.addr(w), -1);
-            break;
-          }
-          const i64 mark = co_await ctx.load(rank.addr(jn));
-          if (mark >= 0) {  // jn is the head of walk `mark`
-            co_await ctx.store(succ.addr(w), mark);
-            co_await ctx.store(tail.addr(w), jn);
-            break;
-          }
-          j = jn;
-          ++count;
-        }
-        co_await ctx.store(len.addr(w), count);
-        co_return 0;
-      });
+  simk::Items walks(schedule, counter, worker, workers, heads.size());
+  while (true) {
+    const i64 w = co_await walks.next(ctx);
+    if (w < 0) break;
+    i64 j = co_await ctx.load(heads.addr(w));
+    i64 count = 1;  // the head node itself
+    while (true) {
+      const i64 jn = co_await ctx.load(lst.addr(j));
+      co_await ctx.compute(1);  // successor test + count increment
+      if (jn < 0) {  // list tail: this walk ends the list
+        co_await ctx.store(succ.addr(w), -1);
+        co_await ctx.store(tail.addr(w), -1);
+        break;
+      }
+      const i64 mark = co_await ctx.load(rank.addr(jn));
+      if (mark >= 0) {  // jn is the head of walk `mark`
+        co_await ctx.store(succ.addr(w), mark);
+        co_await ctx.store(tail.addr(w), jn);
+        break;
+      }
+      j = jn;
+      ++count;
+    }
+    co_await ctx.store(len.addr(w), count);
+  }
 }
 
 /// One pointer-doubling round over the walk records (double-buffered):
@@ -113,25 +115,21 @@ SimThread walk_kernel(Ctx ctx, i64 worker, i64 workers, SimArray<i64> lst,
 SimThread jump_round_kernel(Ctx ctx, i64 worker, i64 workers,
                             SimArray<i64> dist_old, SimArray<i64> succ_old,
                             SimArray<i64> dist_new, SimArray<i64> succ_new) {
-  co_await simk::for_static(
-      ctx, worker, workers, dist_old.size(),
-      [&](i64 lo, i64 hi) -> sim::SimTask {
-        for (i64 w = lo; w < hi; ++w) {
-          const i64 s = co_await ctx.load(succ_old.addr(w));
-          co_await ctx.compute(1);
-          const i64 d = co_await ctx.load(dist_old.addr(w));
-          if (s >= 0) {
-            const i64 ds = co_await ctx.load(dist_old.addr(s));
-            co_await ctx.store(dist_new.addr(w), d + ds);
-            const i64 s2 = co_await ctx.load(succ_old.addr(s));
-            co_await ctx.store(succ_new.addr(w), s2);
-          } else {
-            co_await ctx.store(dist_new.addr(w), d);
-            co_await ctx.store(succ_new.addr(w), -1);
-          }
-        }
-        co_return 0;
-      });
+  const simk::Range r = simk::static_block(dist_old.size(), worker, workers);
+  for (i64 w = r.lo; w < r.hi; ++w) {
+    const i64 s = co_await ctx.load(succ_old.addr(w));
+    co_await ctx.compute(1);
+    const i64 d = co_await ctx.load(dist_old.addr(w));
+    if (s >= 0) {
+      const i64 ds = co_await ctx.load(dist_old.addr(s));
+      co_await ctx.store(dist_new.addr(w), d + ds);
+      const i64 s2 = co_await ctx.load(succ_old.addr(s));
+      co_await ctx.store(succ_new.addr(w), s2);
+    } else {
+      co_await ctx.store(dist_new.addr(w), d);
+      co_await ctx.store(succ_new.addr(w), -1);
+    }
+  }
 }
 
 SimThread final_rank_kernel(Ctx ctx, i64 worker, i64 workers,
@@ -140,22 +138,22 @@ SimThread final_rank_kernel(Ctx ctx, i64 worker, i64 workers,
                             SimArray<i64> tail, Addr counter,
                             simk::Schedule schedule) {
   const i64 n = lst.size();
-  co_await simk::for_each(
-      ctx, schedule, counter, worker, workers, heads.size(),
-      [&](i64 w, i64 /*end*/) -> sim::SimTask {
-        i64 j = co_await ctx.load(heads.addr(w));
-        // Alg. 1: count = NLIST - lnth[i]; dist[w] counts w's head through
-        // the list's end, so w's first node ranks n - dist[w].
-        i64 count = n - co_await ctx.load(dist.addr(w));
-        const i64 stop = co_await ctx.load(tail.addr(w));
-        while (j != stop) {
-          co_await ctx.store(rank.addr(j), count);
-          ++count;
-          j = co_await ctx.load(lst.addr(j));
-          co_await ctx.compute(1);  // compare + increment
-        }
-        co_return 0;
-      });
+  simk::Items walks(schedule, counter, worker, workers, heads.size());
+  while (true) {
+    const i64 w = co_await walks.next(ctx);
+    if (w < 0) break;
+    i64 j = co_await ctx.load(heads.addr(w));
+    // Alg. 1: count = NLIST - lnth[i]; dist[w] counts w's head through the
+    // list's end, so w's first node ranks n - dist[w].
+    i64 count = n - co_await ctx.load(dist.addr(w));
+    const i64 stop = co_await ctx.load(tail.addr(w));
+    while (j != stop) {
+      co_await ctx.store(rank.addr(j), count);
+      ++count;
+      j = co_await ctx.load(lst.addr(j));
+      co_await ctx.compute(1);  // compare + increment
+    }
+  }
 }
 
 }  // namespace

@@ -2,17 +2,6 @@
 
 namespace archgraph::core::simk {
 
-sim::SimTask reduce_sum(sim::Ctx ctx, i64 worker, i64 workers,
-                        sim::SimArray<i64> arr, sim::Addr acc) {
-  const Range r = static_block(arr.size(), worker, workers);
-  i64 local = 0;
-  for (i64 i = r.lo; i < r.hi; ++i) {
-    local += co_await ctx.load(arr.addr(i));
-  }
-  co_await ctx.fetch_add(acc, local);
-  co_return local;
-}
-
 i64 auto_workers(const sim::Machine& machine, i64 items, i64 requested) {
   const i64 hw = machine.concurrency();
   const i64 want = requested > 0 ? std::min(requested, hw) : hw;

@@ -1,58 +1,84 @@
-// Shared parallel-ops substrate for simulator kernels.
+// Shared parallel-loop vocabulary for simulator kernels.
 //
-// Every simulated algorithm in core/kernels is built from three loop shapes,
-// factored here as SimTask sub-coroutines so scheduling policy is a uniform
-// knob instead of five hand-rolled variants:
+// Every simulated algorithm in core/kernels is built from a few loop shapes.
+// Each kernel writes its loops inline in its own coroutine, so a simulated
+// thread is exactly one coroutine frame; the shapes share three
+// non-coroutine building blocks that fix what claiming costs:
 //
-//   * for_dynamic  — the MTA int_fetch_add idiom: workers claim chunks of the
-//                    iteration space from a shared counter. Cost: exactly one
-//                    fetch_add per claim; the claimed range is processed by
-//                    the body at its own charged cost.
-//   * for_static   — block partition: worker w processes static_block(n, w,
-//                    workers) with no claiming cost (the bounds are
-//                    registers), optionally followed by a region barrier —
-//                    the SMP's barrier-separated phase shape.
-//   * for_each     — the scheduling ablation knob: per-item loop that runs
-//                    either dynamically (one fetch_add per item) or
-//                    statically (one compute slot per item for the local
-//                    increment + bound check), so a kernel can expose its
-//                    schedule as data rather than as two code paths.
-//   * reduce_sum   — static scan + one fetch_add combine into a shared
-//                    accumulator, the paper's parallel-sum idiom.
+//   * static_block — block partition: worker w owns static_block(n, w,
+//                    workers). No claiming cost: the bounds are registers.
+//                    Barrier-separated SMP phases are a static_block loop
+//                    followed by ctx.barrier().
+//   * claim        — the MTA int_fetch_add idiom: one fetch_add of `chunk`
+//                    on a shared counter (which must start at 0) claims the
+//                    next chunk of [0, n). The awaited Range is empty once
+//                    the counter has passed n; that final failed claim is
+//                    charged like every other.
+//   * Items        — the scheduling ablation knob: per-item claiming that is
+//                    either dynamic (one fetch_add per item, including the
+//                    final failed one) or static (one compute slot per item
+//                    of the worker's block for the local increment + bound
+//                    check), so a kernel exposes its schedule as data rather
+//                    than as two code paths.
 //
-// Bodies are coroutine lambdas returning sim::SimTask, e.g.:
+// A dynamic loop reads:
 //
-//   co_await simk::for_dynamic(ctx, counter, n, chunk,
-//       [&](i64 lo, i64 hi) -> sim::SimTask {
-//         for (i64 i = lo; i < hi; ++i) co_await ctx.store(a.addr(i), 0);
-//         co_return 0;
-//       });
+//   while (true) {
+//     const simk::Range r = co_await simk::claim(ctx, counter, n, chunk);
+//     if (r.empty()) break;
+//     for (i64 i = r.lo; i < r.hi; ++i) co_await ctx.store(a.addr(i), 0);
+//   }
 //
-// Lifetime rule (see sim/task.hpp): the body lambda is a named parameter of
-// the helper — it lives in the helper's frame — and each SimTask it produces
-// is awaited immediately. Do not store a SimTask past the statement that
-// created it.
+// The awaitables suspend the kernel's own frame with exactly the op the
+// hand-written loop would issue; none of them allocates.
 #pragma once
 
 #include <algorithm>
+#include <coroutine>
 
 #include "common/types.hpp"
 #include "sim/machine.hpp"
 
 namespace archgraph::core::simk {
 
-/// Contiguous block [lo, hi) of [0, n) for `worker` of `workers`
-/// (first n % workers blocks one element larger).
+/// Half-open index range [lo, hi); empty when lo >= hi.
 struct Range {
   i64 lo = 0;
   i64 hi = 0;
+
+  bool empty() const { return lo >= hi; }
 };
 
+/// Contiguous block of [0, n) for `worker` of `workers` (the first
+/// n % workers blocks are one element larger).
 inline Range static_block(i64 n, i64 worker, i64 workers) {
   const i64 base = n / workers;
   const i64 extra = n % workers;
   const i64 lo = worker * base + std::min(worker, extra);
   return Range{lo, lo + base + (worker < extra ? 1 : 0)};
+}
+
+/// Awaitable returned by claim(): one fetch_add, resumed as the claimed
+/// Range.
+struct ClaimAwaiter {
+  sim::OpAwaiter op;
+  i64 n;
+  i64 chunk;
+
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) noexcept {
+    op.await_suspend(h);
+  }
+  Range await_resume() const noexcept {
+    const i64 lo = op.await_resume();
+    return Range{lo, std::min(n, lo + chunk)};
+  }
+};
+
+/// Claims [lo, min(lo + chunk, n)) with one fetch_add on `counter`; the
+/// range is empty once the counter has passed n.
+inline ClaimAwaiter claim(sim::Ctx ctx, sim::Addr counter, i64 n, i64 chunk) {
+  return ClaimAwaiter{ctx.fetch_add(counter, chunk), n, chunk};
 }
 
 /// How a claimed loop hands out iterations (the scheduling ablation knob).
@@ -65,66 +91,55 @@ inline const char* schedule_name(Schedule s) {
   return s == Schedule::kDynamic ? "dynamic" : "static";
 }
 
-/// Dynamic chunk claiming: repeatedly claims [lo, min(lo+chunk, n)) via
-/// fetch_add on `counter` (which must start at 0) and awaits
-/// `body(lo, hi)`. Simulated cost: one fetch_add per claim, including the
-/// final failed claim that observes lo >= n — exactly the hand-rolled idiom.
-template <typename Body>
-sim::SimTask for_dynamic(sim::Ctx ctx, sim::Addr counter, i64 n, i64 chunk,
-                         Body body) {
-  while (true) {
-    const i64 lo = co_await ctx.fetch_add(counter, chunk);
-    if (lo >= n) break;
-    co_await body(lo, std::min(n, lo + chunk));
-  }
-  co_return 0;
-}
-
-/// Static block phase: awaits `body(lo, hi)` on this worker's block (empty
-/// blocks still run the body with lo == hi), then optionally a region-wide
-/// barrier — the shape of every barrier-separated SMP step. The partition
-/// itself costs nothing: the bounds live in registers.
-template <typename Body>
-sim::SimTask for_static(sim::Ctx ctx, i64 worker, i64 workers, i64 n,
-                        Body body, bool barrier_after = false) {
-  const Range r = static_block(n, worker, workers);
-  co_await body(r.lo, r.hi);
-  if (barrier_after) {
-    co_await ctx.barrier();
-  }
-  co_return 0;
-}
-
-/// Per-item loop with a runtime-selected schedule: dynamic claims one item
-/// per fetch_add; static walks this worker's block charging one ALU slot per
-/// item for the local claim (increment + bound check). Bodies see one index
-/// at a time (`body(i, i + 1)`), so the two schedules issue identical
-/// per-item work and differ only in the claiming cost — which is the whole
-/// point of the scheduling ablation.
-template <typename Body>
-sim::SimTask for_each(sim::Ctx ctx, Schedule schedule, sim::Addr counter,
-                      i64 worker, i64 workers, i64 n, Body body) {
-  if (schedule == Schedule::kStatic) {
-    const Range r = static_block(n, worker, workers);
-    for (i64 i = r.lo; i < r.hi; ++i) {
-      co_await ctx.compute(1);  // local claim: increment + bound check
-      co_await body(i, i + 1);
-    }
-  } else {
-    while (true) {
-      const i64 i = co_await ctx.fetch_add(counter, 1);
-      if (i >= n) break;
-      co_await body(i, i + 1);
+/// Per-item claiming under a runtime Schedule. `co_await items.next(ctx)`
+/// yields the next index, or -1 once this worker's share is exhausted.
+/// Dynamic: one fetch_add of 1 on `counter` per item, including the final
+/// failed claim. Static: one compute slot per item of the worker's
+/// static_block, and nothing once the block is done. The two schedules issue
+/// identical per-item work and differ only in the claiming cost, which is
+/// the whole point of the scheduling ablation.
+class Items {
+ public:
+  Items(Schedule schedule, sim::Addr counter, i64 worker, i64 workers, i64 n)
+      : counter_(counter), n_(n), dynamic_(schedule == Schedule::kDynamic) {
+    if (!dynamic_) {
+      const Range r = static_block(n, worker, workers);
+      next_ = r.lo;
+      end_ = r.hi;
     }
   }
-  co_return 0;
-}
 
-/// Parallel sum: static scan of `arr` (one load per element; the 3-wide LIW
-/// folds the accumulate and loop control into the memory op) plus one
-/// fetch_add of the worker's partial into `acc`. Returns the partial.
-sim::SimTask reduce_sum(sim::Ctx ctx, i64 worker, i64 workers,
-                        sim::SimArray<i64> arr, sim::Addr acc);
+  struct Awaiter {
+    Items& items;
+    sim::OpAwaiter op;
+
+    bool await_ready() const noexcept {
+      return !items.dynamic_ && items.next_ >= items.end_;
+    }
+    void await_suspend(std::coroutine_handle<> h) noexcept {
+      op.await_suspend(h);
+    }
+    i64 await_resume() noexcept {
+      if (items.dynamic_) {
+        const i64 i = op.await_resume();
+        return i < items.n_ ? i : -1;
+      }
+      return items.next_ < items.end_ ? items.next_++ : -1;
+    }
+  };
+
+  Awaiter next(sim::Ctx ctx) {
+    return Awaiter{*this, dynamic_ ? ctx.fetch_add(counter_, 1)
+                                   : ctx.compute(1)};  // local claim
+  }
+
+ private:
+  sim::Addr counter_;
+  i64 n_;
+  bool dynamic_;
+  i64 next_ = 0;  // static cursor within [next_, end_)
+  i64 end_ = 0;
+};
 
 /// Spawns `workers` copies of `kernel(ctx, worker, workers, args...)`.
 /// The caller still calls machine.run_region().

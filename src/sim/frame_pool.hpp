@@ -1,13 +1,16 @@
 // Size-classed free-list allocator for coroutine frames.
 //
-// Every spawned kernel thread and every nested SimTask helper allocates one
-// coroutine frame. Fine-grain kernels (Shiloach-Vishkin graft/shortcut, BFS
-// expansion) spawn hundreds of thousands of short-lived threads per cell, so
-// frame allocation is a first-order host cost: profiled on the hot-path
-// bench, malloc/free traffic for frames was ~10-25% of wall time, and the
-// cold frames it hands back defeat the cache. This pool recycles frames
-// LIFO within a size class, so the steady-state working set is the handful
-// of frame shapes the active kernels use, served from cache-warm memory.
+// Every spawned kernel thread allocates exactly one coroutine frame (kernels
+// write their loops inline; see sim/task.hpp). MTA-shaped kernels spawn a
+// fresh set of workers per region, and a cell runs dozens of regions, so
+// frames still churn: malloc'ing each one would hand back cold memory. This
+// pool recycles frames LIFO within a size class, so the steady-state working
+// set is the handful of frame shapes the active kernels use, served from
+// cache-warm memory.
+//
+// allocations() counts the frames handed out on this host thread. It is a
+// host-side regression guard (tests assert at most two frames per spawned
+// thread) and a bench counter; it never enters a simulated result.
 //
 // Thread safety: the pool is thread_local. A frame is always allocated and
 // freed on the thread simulating its region (spawn, resume, and region
@@ -33,6 +36,7 @@ class FramePool {
   static constexpr usize kClasses = 64;      // covers frames up to 4 KiB
 
   void* alloc(usize size) {
+    ++allocations_;
     const usize cls = (size + kGranularity - 1) / kGranularity;
     if (cls >= kClasses) {
       return ::operator new(size);  // oversized frame: fall through
@@ -55,6 +59,9 @@ class FramePool {
     free_[cls] = node;
   }
 
+  /// Frames allocated on this host thread so far.
+  u64 allocations() const { return allocations_; }
+
   ~FramePool() {
     for (usize cls = 0; cls < kClasses; ++cls) {
       FreeNode* node = free_[cls];
@@ -72,6 +79,7 @@ class FramePool {
   };
 
   std::array<FreeNode*, kClasses> free_{};
+  u64 allocations_ = 0;
 };
 
 inline FramePool& frame_pool() {

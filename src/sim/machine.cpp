@@ -4,20 +4,17 @@ namespace archgraph::sim {
 
 namespace {
 
-/// Destroys all coroutine frames even if simulate() threw. Only the root
-/// (kernel) frame is destroyed explicitly: suspended SimTask helpers live in
-/// SimTask members of their parent frames and are torn down by the cascade.
+/// Destroys all coroutine frames (one per thread) even if simulate() threw.
 /// The ThreadState control blocks themselves stay in the arena; their slots
 /// recycle when the next region's spawns reuse the same indices.
 struct FrameGuard {
   std::vector<ThreadState*>* threads;
   ~FrameGuard() {
     for (ThreadState* t : *threads) {
-      if (t->root) {
-        t->root.destroy();
-        t->root = nullptr;
+      if (t->handle) {
+        t->handle.destroy();
+        t->handle = nullptr;
       }
-      t->handle = nullptr;
     }
     threads->clear();
   }
@@ -27,8 +24,8 @@ struct FrameGuard {
 
 Machine::~Machine() {
   for (ThreadState* t : pending_) {
-    if (t->root) {
-      t->root.destroy();
+    if (t->handle) {
+      t->handle.destroy();
     }
   }
 }

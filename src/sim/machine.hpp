@@ -182,7 +182,6 @@ class Machine {
     SimThread thread =
         std::invoke(std::forward<F>(f), ctx, std::forward<Args>(args)...);
     state->handle = thread.bind(state);
-    state->root = state->handle;
     pending_.push_back(state);
   }
 

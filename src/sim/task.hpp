@@ -14,10 +14,10 @@
 // per-operation timing differs. This is the machine-neutral program
 // representation the whole reproduction rests on.
 //
-// Kernels can factor shared loop shapes into SimTask sub-coroutines (see
-// core/kernels/sim_par.hpp): `co_await helper(ctx, ...)` suspends the caller
-// until the helper finishes, and every op the helper issues is charged to the
-// calling thread. The nesting itself costs zero simulated cycles.
+// A simulated thread is exactly one coroutine frame. Kernels write their
+// loops inline and share loop shapes through plain awaitables that wrap an
+// OpAwaiter (core/kernels/sim_par.hpp), never through nested coroutines: a
+// nest would model nothing and cost the host a frame and a resume per level.
 #pragma once
 
 #include <coroutine>
@@ -43,13 +43,9 @@ struct ThreadState {
     kFinished,
   };
 
-  /// Innermost active coroutine: the frame advance() must resume next. Every
-  /// OpAwaiter re-points this at suspension, so nested SimTask helpers are
-  /// resumed directly without re-walking the await chain.
+  /// The kernel's coroutine frame: advance() resumes it, and the machine
+  /// destroys it at region teardown.
   std::coroutine_handle<> handle;
-  /// Outermost (kernel) frame; owns the whole nest. Cleanup destroys this one
-  /// handle — SimTask members in parent frames cascade to child frames.
-  std::coroutine_handle<> root;
   Operation pending;
   std::exception_ptr error;
 
@@ -123,102 +119,18 @@ class SimThread {
   std::coroutine_handle<promise_type> handle_;
 };
 
-/// Awaitable returned by every Ctx operation. Suspension records both the op
-/// and the suspending frame, so advance() resumes the innermost coroutine of
-/// a SimTask nest directly.
+/// Awaitable returned by every Ctx operation. Suspension publishes the op in
+/// the thread's `pending` slot; the machine writes the result there before it
+/// resumes the frame.
 struct OpAwaiter {
   ThreadState* ts;
   Operation op;
 
   bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) noexcept {
+  void await_suspend(std::coroutine_handle<> /*kernel*/) noexcept {
     ts->pending = op;
-    ts->handle = h;
   }
   i64 await_resume() const noexcept { return ts->pending.result; }
-};
-
-/// A nested simulated sub-coroutine: lets kernels factor shared loop shapes
-/// (chunk claiming, block scans) into helpers without changing the op stream
-/// the machine sees. `co_await some_task(ctx, ...)` runs the helper on the
-/// calling thread; suspension and cost accounting flow through the caller's
-/// ThreadState, and control returns to the caller via symmetric transfer when
-/// the helper completes. The nesting itself is free in simulated time.
-///
-/// Lifetime rule: a SimTask must be awaited immediately by the coroutine that
-/// created it (`co_await helper(...)`), so its frame is owned by an object in
-/// the caller's frame for the whole await. Any lambda a helper captures must
-/// be a named parameter of the helper (stored in its frame), never a
-/// temporary that dies at the call's semicolon.
-class SimTask {
- public:
-  struct promise_type {
-    std::coroutine_handle<> continuation;
-    std::exception_ptr error;
-    i64 value = 0;
-
-    // SimTask helpers are created and destroyed once per chunk claim, so
-    // their frames recycle through the same pool as kernel threads.
-    static void* operator new(std::size_t size) {
-      return detail::frame_pool().alloc(size);
-    }
-    static void operator delete(void* p, std::size_t size) noexcept {
-      detail::frame_pool().free(p, size);
-    }
-
-    SimTask get_return_object() {
-      return SimTask{std::coroutine_handle<promise_type>::from_promise(*this)};
-    }
-    std::suspend_always initial_suspend() noexcept { return {}; }
-
-    struct FinalAwaiter {
-      bool await_ready() const noexcept { return false; }
-      std::coroutine_handle<> await_suspend(
-          std::coroutine_handle<promise_type> h) noexcept {
-        return h.promise().continuation;
-      }
-      void await_resume() const noexcept {}
-    };
-    FinalAwaiter final_suspend() noexcept { return {}; }
-
-    void return_value(i64 v) noexcept { value = v; }
-    void unhandled_exception() { error = std::current_exception(); }
-  };
-
-  SimTask() = default;
-  explicit SimTask(std::coroutine_handle<promise_type> handle)
-      : handle_(handle) {}
-  SimTask(SimTask&& other) noexcept : handle_(other.handle_) {
-    other.handle_ = nullptr;
-  }
-  SimTask(const SimTask&) = delete;
-  SimTask& operator=(const SimTask&) = delete;
-  SimTask& operator=(SimTask&& other) noexcept {
-    if (this != &other) {
-      if (handle_) handle_.destroy();
-      handle_ = other.handle_;
-      other.handle_ = nullptr;
-    }
-    return *this;
-  }
-  ~SimTask() {
-    if (handle_) handle_.destroy();
-  }
-
-  bool await_ready() const noexcept { return false; }
-  std::coroutine_handle<> await_suspend(std::coroutine_handle<> parent) {
-    handle_.promise().continuation = parent;
-    return handle_;  // symmetric transfer into the helper's body
-  }
-  i64 await_resume() const {
-    if (handle_.promise().error) {
-      std::rethrow_exception(handle_.promise().error);
-    }
-    return handle_.promise().value;
-  }
-
- private:
-  std::coroutine_handle<promise_type> handle_;
 };
 
 /// Thread-side handle used inside kernels to issue operations.

@@ -1,7 +1,7 @@
-// The frontier/traversal substrate: sparse-vs-dense threshold, push
-// deduplication, consume re-arming, edge/vertex map coverage, and
-// determinism of the frontier contents under dynamic scheduling on both
-// machine models.
+// The frontier/traversal data shapes under the loops kernels write inline:
+// sparse-vs-dense threshold, push deduplication, consume re-arming,
+// edge/vertex scan coverage, and determinism of the frontier contents under
+// dynamic scheduling on both machine models.
 #include "core/kernels/frontier.hpp"
 
 #include <gtest/gtest.h>
@@ -50,16 +50,20 @@ TEST(FrontierHost, ResetAndDenseUseTheCursor) {
   EXPECT_EQ(f.host_size(), 0);
 }
 
+/// Deduplicating push, as the coloring kernels write it: claim the
+/// membership flag, and on the winning claim append to the sparse list.
 SimThread push_kernel(Ctx ctx, i64 worker, i64 workers, Frontier f,
                       SimArray<i64> items) {
-  co_await simk::for_static(ctx, worker, workers, items.size(),
-                            [&](i64 lo, i64 hi) -> sim::SimTask {
-                              for (i64 i = lo; i < hi; ++i) {
-                                const i64 v = co_await ctx.load(items.addr(i));
-                                co_await f.push(ctx, v);
-                              }
-                              co_return 0;
-                            });
+  const simk::Range r = simk::static_block(items.size(), worker, workers);
+  for (i64 i = r.lo; i < r.hi; ++i) {
+    const i64 v = co_await ctx.load(items.addr(i));
+    const i64 claimed = co_await ctx.fetch_add(f.flag_addr(v), 1);
+    co_await ctx.compute(1);  // claim test
+    if (claimed == 0) {
+      const i64 idx = co_await ctx.fetch_add(f.count_addr(), 1);
+      co_await ctx.store(f.vert_addr(idx), v);
+    }
+  }
 }
 
 std::vector<i64> sorted_contents(const Frontier& f) {
@@ -105,15 +109,20 @@ TEST(FrontierPush, FullFrontierIsDense) {
   EXPECT_TRUE(f.host_dense(1000));
 }
 
+/// Dynamic sparse scan that consumes: load verts[i], re-arm its flag.
 SimThread consume_kernel(Ctx ctx, i64 /*worker*/, i64 /*workers*/, Frontier f,
                          SimArray<i64> counter, i64 size, i64 chunk,
                          SimArray<i64> hits) {
-  co_await frontier::vertex_map_sparse_dynamic(
-      ctx, f, counter.addr(0), size, chunk, /*consume=*/true,
-      [&](i64 v) -> sim::SimTask {
-        co_await ctx.fetch_add(hits.addr(v), 1);
-        co_return 0;
-      });
+  while (true) {
+    const simk::Range r = co_await simk::claim(ctx, counter.addr(0), size,
+                                               chunk);
+    if (r.empty()) break;
+    for (i64 i = r.lo; i < r.hi; ++i) {
+      const i64 v = co_await ctx.load(f.vert_addr(i));
+      co_await ctx.store(f.flag_addr(v), 0);
+      co_await ctx.fetch_add(hits.addr(v), 1);
+    }
+  }
 }
 
 TEST(FrontierSparseMap, ConsumeDeliversOnceAndReArmsFlags) {
@@ -153,13 +162,18 @@ TEST(FrontierSparseMap, EmptyFrontierRunsNoBody) {
   }
 }
 
+/// Dynamic dense scan: every vertex, clearing its flag.
 SimThread dense_kernel(Ctx ctx, i64 /*worker*/, i64 /*workers*/, Frontier f,
                        SimArray<i64> counter, i64 chunk, SimArray<i64> hits) {
-  co_await frontier::vertex_map_dense_dynamic(
-      ctx, f, counter.addr(0), chunk, [&](i64 v) -> sim::SimTask {
-        co_await ctx.fetch_add(hits.addr(v), 1);
-        co_return 0;
-      });
+  while (true) {
+    const simk::Range r =
+        co_await simk::claim(ctx, counter.addr(0), f.n(), chunk);
+    if (r.empty()) break;
+    for (i64 v = r.lo; v < r.hi; ++v) {
+      co_await ctx.store(f.flag_addr(v), 0);
+      co_await ctx.fetch_add(hits.addr(v), 1);
+    }
+  }
 }
 
 TEST(FrontierDenseMap, VisitsAllVerticesAndClearsFlags) {
@@ -210,24 +224,24 @@ TEST(FrontierPush, DynamicSchedulingIsDeterministicAcrossRuns) {
 SimThread degree_dynamic_kernel(Ctx ctx, i64 /*worker*/, i64 /*workers*/,
                                 EdgeSlots es, SimArray<i64> counter, i64 chunk,
                                 SimArray<i64> deg) {
-  co_await frontier::edge_map_slots_dynamic(ctx, es, counter.addr(0), chunk,
-                                            [&](i64 u, i64 v) -> sim::SimTask {
-                                              (void)v;
-                                              co_await ctx.fetch_add(
-                                                  deg.addr(u), 1);
-                                              co_return 0;
-                                            });
+  while (true) {
+    const simk::Range r =
+        co_await simk::claim(ctx, counter.addr(0), es.slots(), chunk);
+    if (r.empty()) break;
+    for (i64 i = r.lo; i < r.hi; ++i) {
+      const i64 u = co_await ctx.load(es.eu.addr(i));
+      co_await ctx.fetch_add(deg.addr(u), 1);
+    }
+  }
 }
 
 SimThread degree_static_kernel(Ctx ctx, i64 worker, i64 workers, EdgeSlots es,
                                SimArray<i64> deg) {
-  co_await frontier::edge_map_slots_static(ctx, worker, workers, es,
-                                           [&](i64 u, i64 v) -> sim::SimTask {
-                                             (void)v;
-                                             co_await ctx.fetch_add(
-                                                 deg.addr(u), 1);
-                                             co_return 0;
-                                           });
+  const simk::Range r = simk::static_block(es.slots(), worker, workers);
+  for (i64 i = r.lo; i < r.hi; ++i) {
+    const i64 u = co_await ctx.load(es.eu.addr(i));
+    co_await ctx.fetch_add(deg.addr(u), 1);
+  }
 }
 
 std::vector<i64> host_degrees(const graph::EdgeList& g) {
@@ -279,16 +293,15 @@ TEST(EdgeMapSlots, EmptyGraphHasOneNeutralizedSlot) {
 
 SimThread neighbor_sum_kernel(Ctx ctx, i64 worker, i64 workers, SimCsr csr,
                               SimArray<i64> sum) {
-  co_await frontier::vertex_map_all_static(
-      ctx, worker, workers, csr.n, [&](i64 u) -> sim::SimTask {
-        co_await frontier::neighbors_map(ctx, csr, u,
-                                         [&](i64 src, i64 v) -> sim::SimTask {
-                                           co_await ctx.fetch_add(
-                                               sum.addr(src), v + 1);
-                                           co_return 0;
-                                         });
-        co_return 0;
-      });
+  const simk::Range r = simk::static_block(csr.n, worker, workers);
+  for (i64 u = r.lo; u < r.hi; ++u) {
+    const i64 lo = co_await ctx.load(csr.offsets.addr(u));
+    const i64 hi = co_await ctx.load(csr.offsets.addr(u + 1));
+    for (i64 a = lo; a < hi; ++a) {
+      const i64 v = co_await ctx.load(csr.targets.addr(a));
+      co_await ctx.fetch_add(sum.addr(u), v + 1);
+    }
+  }
 }
 
 TEST(NeighborsMap, ScansExactlyTheCsrArcs) {

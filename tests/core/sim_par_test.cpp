@@ -1,5 +1,6 @@
-// The parallel-ops substrate: static_block partitioning edge cases,
-// auto_workers clamping, and the loop helpers executing real simulated work.
+// The parallel-loop vocabulary: static_block partitioning edge cases,
+// auto_workers clamping, the claim / Items awaitables, and the loop shapes
+// kernels write with them executing real simulated work.
 #include "core/kernels/sim_par.hpp"
 
 #include <gtest/gtest.h>
@@ -81,16 +82,37 @@ TEST(ScheduleName, NamesBothSchedules) {
   EXPECT_STREQ(simk::schedule_name(simk::Schedule::kStatic), "static");
 }
 
+TEST(Claim, RangeIsClippedAndEmptyPastTheEnd) {
+  // The awaitable's resume side, driven by hand: the machine's fetch_add
+  // result is the old counter value.
+  sim::ThreadState ts;
+  const simk::ClaimAwaiter claim = simk::claim(Ctx{&ts}, 64, 100, 8);
+  EXPECT_EQ(claim.op.op.kind, sim::OpKind::kFetchAdd);
+  EXPECT_EQ(claim.op.op.addr, 64u);
+  EXPECT_EQ(claim.op.op.value, 8);
+  ts.pending.result = 0;
+  EXPECT_EQ(claim.await_resume().lo, 0);
+  EXPECT_EQ(claim.await_resume().hi, 8);
+  ts.pending.result = 96;  // the last chunk is clipped to n
+  EXPECT_EQ(claim.await_resume().hi, 100);
+  EXPECT_FALSE(claim.await_resume().empty());
+  for (const i64 old : {100, 104, 1000}) {
+    ts.pending.result = old;
+    EXPECT_TRUE(claim.await_resume().empty()) << old;
+  }
+}
+
 SimThread fill_dynamic_kernel(Ctx ctx, i64 /*worker*/, i64 /*workers*/,
                               SimArray<i64> counter, SimArray<i64> out,
                               i64 chunk) {
-  co_await simk::for_dynamic(ctx, counter.addr(0), out.size(), chunk,
-                             [&](i64 lo, i64 hi) -> sim::SimTask {
-                               for (i64 i = lo; i < hi; ++i) {
-                                 co_await ctx.store(out.addr(i), 2 * i + 1);
-                               }
-                               co_return 0;
-                             });
+  while (true) {
+    const simk::Range r =
+        co_await simk::claim(ctx, counter.addr(0), out.size(), chunk);
+    if (r.empty()) break;
+    for (i64 i = r.lo; i < r.hi; ++i) {
+      co_await ctx.store(out.addr(i), 2 * i + 1);
+    }
+  }
 }
 
 TEST(ForDynamic, ChunkClaimingCoversEveryIndexOnce) {
@@ -103,6 +125,9 @@ TEST(ForDynamic, ChunkClaimingCoversEveryIndexOnce) {
     for (i64 i = 0; i < out.size(); ++i) {
       EXPECT_EQ(out.get(i), 2 * i + 1) << "chunk=" << chunk << " i=" << i;
     }
+    // One claim per chunk plus each worker's final failed claim.
+    const i64 claims = (100 + chunk - 1) / chunk + 4;
+    EXPECT_EQ(counter.get(0), claims * chunk) << "chunk=" << chunk;
   }
 }
 
@@ -110,22 +135,13 @@ SimThread phase_kernel(Ctx ctx, i64 worker, i64 workers, SimArray<i64> a,
                        SimArray<i64> b) {
   // Phase 1: a[i] = i, all workers; barrier; phase 2: b[i] = a[n-1-i].
   const i64 n = a.size();
-  co_await simk::for_static(
-      ctx, worker, workers, n,
-      [&](i64 lo, i64 hi) -> sim::SimTask {
-        for (i64 i = lo; i < hi; ++i) co_await ctx.store(a.addr(i), i);
-        co_return 0;
-      },
-      /*barrier_after=*/true);
-  co_await simk::for_static(ctx, worker, workers, n,
-                            [&](i64 lo, i64 hi) -> sim::SimTask {
-                              for (i64 i = lo; i < hi; ++i) {
-                                const i64 v =
-                                    co_await ctx.load(a.addr(n - 1 - i));
-                                co_await ctx.store(b.addr(i), v);
-                              }
-                              co_return 0;
-                            });
+  const simk::Range r = simk::static_block(n, worker, workers);
+  for (i64 i = r.lo; i < r.hi; ++i) co_await ctx.store(a.addr(i), i);
+  co_await ctx.barrier();
+  for (i64 i = r.lo; i < r.hi; ++i) {
+    const i64 v = co_await ctx.load(a.addr(n - 1 - i));
+    co_await ctx.store(b.addr(i), v);
+  }
 }
 
 TEST(ForStatic, BarrierSeparatedPhasesSeeEachOthersWrites) {
@@ -143,11 +159,12 @@ TEST(ForStatic, BarrierSeparatedPhasesSeeEachOthersWrites) {
 SimThread for_each_kernel(Ctx ctx, i64 worker, i64 workers,
                           simk::Schedule schedule, SimArray<i64> counter,
                           SimArray<i64> out) {
-  co_await simk::for_each(ctx, schedule, counter.addr(0), worker, workers,
-                          out.size(), [&](i64 i, i64 /*end*/) -> sim::SimTask {
-                            co_await ctx.store(out.addr(i), i * i);
-                            co_return 0;
-                          });
+  simk::Items items(schedule, counter.addr(0), worker, workers, out.size());
+  while (true) {
+    const i64 i = co_await items.next(ctx);
+    if (i < 0) break;
+    co_await ctx.store(out.addr(i), i * i);
+  }
 }
 
 TEST(ForEach, BothSchedulesComputeTheSameResult) {
@@ -161,12 +178,23 @@ TEST(ForEach, BothSchedulesComputeTheSameResult) {
     for (i64 i = 0; i < out.size(); ++i) {
       EXPECT_EQ(out.get(i), i * i) << simk::schedule_name(schedule);
     }
+    // Claiming cost: dynamic is one fetch_add per item plus each worker's
+    // final failed claim; static is one compute slot per item and leaves
+    // the counter alone. Either way 33 stores + 41 or 33 claim slots.
+    const bool dynamic = schedule == simk::Schedule::kDynamic;
+    EXPECT_EQ(counter.get(0), dynamic ? 33 + 8 : 0);
+    EXPECT_EQ(m->stats().instructions, 33 + (dynamic ? 33 + 8 : 33));
   }
 }
 
 SimThread reduce_kernel(Ctx ctx, i64 worker, i64 workers, SimArray<i64> arr,
                         SimArray<i64> acc) {
-  co_await simk::reduce_sum(ctx, worker, workers, arr, acc.addr(0));
+  const simk::Range r = simk::static_block(arr.size(), worker, workers);
+  i64 local = 0;
+  for (i64 i = r.lo; i < r.hi; ++i) {
+    local += co_await ctx.load(arr.addr(i));
+  }
+  co_await ctx.fetch_add(acc.addr(0), local);
 }
 
 TEST(ReduceSum, PartialsCombineIntoTheSharedAccumulator) {
