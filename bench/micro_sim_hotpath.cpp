@@ -12,7 +12,14 @@
 // carry heap_pushes, the events that took the queue's overflow heap; machine
 // records carry events (every event the machine handled) and fused (those it
 // handled inline instead of a push/pop round trip), so events/ops is events
-// per simulated instruction.
+// per simulated instruction. They also carry threads (simulated threads
+// spawned) and frames (coroutine frames the host allocated for them); a
+// kernel runs one frame per thread, so frames == threads.
+//
+// The fig2_p1 / fig2_p8 pairs run one cc_sv_mta cell (same graph, same
+// per-edge and per-vertex work) at 1 and at 8 processors, i.e. 8x the
+// resident lanes or streams. Their ns/instr ratio is the width cost that
+// ROADMAP item 6 asks to remove.
 #include <algorithm>
 #include <iostream>
 #include <string>
@@ -23,6 +30,7 @@
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/frame_pool.hpp"
 #include "sim/memory.hpp"
 #include "sweep/registry.hpp"
 #include "sweep/runner.hpp"
@@ -42,6 +50,8 @@ struct Result {
   i64 heap_pushes = -1;  // -1: not an event-queue measurement
   i64 events = -1;       // -1: not a machine measurement
   i64 fused = -1;
+  i64 threads = -1;
+  i64 frames = -1;
   double ops_per_sec() const { return seconds > 0.0 ? ops / seconds : 0.0; }
 };
 
@@ -203,6 +213,8 @@ Result bench_machine_cell(const std::string& label, const std::string& kernel,
   u64 heap_pushes = 0;
   u64 events = 0;
   u64 fused = 0;
+  u64 threads = 0;
+  const u64 frames_before = sim::detail::frame_pool().allocations();
   Timer timer;
   for (u64 r = 0; r < reps; ++r) {
     const auto mach = sim::make_machine(machine);
@@ -212,10 +224,14 @@ Result bench_machine_cell(const std::string& label, const std::string& kernel,
     heap_pushes += mach->event_heap_pushes();
     events += mach->events_pushed() + mach->events_fused();
     fused += mach->events_fused();
+    threads += static_cast<u64>(mach->stats().threads);
   }
-  return {"machine/" + label, instructions, timer.seconds(),
-          static_cast<i64>(heap_pushes), static_cast<i64>(events),
-          static_cast<i64>(fused)};
+  const double seconds = timer.seconds();
+  const u64 frames = sim::detail::frame_pool().allocations() - frames_before;
+  return {"machine/" + label,          instructions,
+          seconds,                     static_cast<i64>(heap_pushes),
+          static_cast<i64>(events),    static_cast<i64>(fused),
+          static_cast<i64>(threads),   static_cast<i64>(frames)};
 }
 
 }  // namespace
@@ -265,6 +281,7 @@ int main() {
                                        layout, cell_n, 0, cell_reps));
   results.push_back(bench_machine_cell("mta/fig2", "cc_sv_mta", "mta:procs=4",
                                        layout, cc_n, 8 * cc_n, cell_reps));
+
   results.push_back(bench_machine_cell("smp/fig1", "lr_hj",
                                        "smp:procs=4,l2_kb=512", layout, cell_n,
                                        0, cell_reps));
@@ -282,8 +299,23 @@ int main() {
   results.push_back(bench_machine_cell("gpu/fig2", "cc_sv_mta", "gpu:procs=4",
                                        layout, cc_n, 8 * cc_n, cell_reps));
 
+  // Width pairs: one cc_sv_mta cell at the densest fig2 shape (m = 20n, so
+  // the graft phase has enough 64-edge chunks to fill 8 processors' lanes)
+  // at procs=1 and procs=8. The per-edge and per-vertex work is identical;
+  // only the number of workers, and so of claims, grows with width.
+  const i64 width_n = cell_n / 2;
+  const u64 width_reps = std::max<u64>(cell_reps / 4, 1);
+  for (const char* arch : {"mta", "gpu"}) {
+    for (const int procs : {1, 8}) {
+      results.push_back(bench_machine_cell(
+          std::string{arch} + "/fig2_p" + std::to_string(procs), "cc_sv_mta",
+          std::string{arch} + ":procs=" + std::to_string(procs), layout,
+          width_n, 20 * width_n, width_reps));
+    }
+  }
+
   Table table({"benchmark", "ops", "seconds", "Mops/sec", "heap pushes",
-               "events", "fused"},
+               "events", "fused", "threads", "frames"},
               3);
   bench::BenchJson bj("host_sim");
   for (const Result& r : results) {
@@ -294,14 +326,21 @@ int main() {
         .add(r.ops_per_sec() / 1e6)
         .add(r.heap_pushes >= 0 ? std::to_string(r.heap_pushes) : "-")
         .add(r.events >= 0 ? std::to_string(r.events) : "-")
-        .add(r.fused >= 0 ? std::to_string(r.fused) : "-");
+        .add(r.fused >= 0 ? std::to_string(r.fused) : "-")
+        .add(r.threads >= 0 ? std::to_string(r.threads) : "-")
+        .add(r.frames >= 0 ? std::to_string(r.frames) : "-");
     bj.record([&](obs::JsonWriter& w) {
       w.field("benchmark", r.name)
           .field("ops", static_cast<i64>(r.ops))
           .field("seconds", r.seconds)
           .field("ops_per_sec", r.ops_per_sec());
       if (r.heap_pushes >= 0) w.field("heap_pushes", r.heap_pushes);
-      if (r.events >= 0) w.field("events", r.events).field("fused", r.fused);
+      if (r.events >= 0) {
+        w.field("events", r.events)
+            .field("fused", r.fused)
+            .field("threads", r.threads)
+            .field("frames", r.frames);
+      }
     });
   }
   std::cout << table;
