@@ -43,9 +43,11 @@ std::vector<NodeId> cc_shiloach_vishkin(rt::ThreadPool& pool,
       const NodeId u = slot < m ? e.u : e.v;
       const NodeId v = slot < m ? e.v : e.u;
       const NodeId du = load(u);
-      const NodeId dv = load(v);
-      if (du < dv && dv == load(dv)) {
-        d[static_cast<usize>(dv)].store(du, std::memory_order_relaxed);
+      NodeId dv = load(v);
+      // Only the winner of a race for root dv counts its graft, so the
+      // count is exactly the number of roots that stopped being roots.
+      if (du < dv && d[static_cast<usize>(dv)].compare_exchange_strong(
+                         dv, du, std::memory_order_relaxed)) {
         grafted.store(true, std::memory_order_relaxed);
         grafts.fetch_add(1, std::memory_order_relaxed);
       }
