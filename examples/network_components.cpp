@@ -3,20 +3,19 @@
 // introduction motivates.
 //
 // Pipeline: generate an R-MAT graph (power-law-ish, like real networks),
-// find its connected components three ways (sequential union-find, parallel
-// Shiloach-Vishkin, and SV on the simulated MTA), report the component-size
-// distribution, then extract a spanning forest of the giant component.
+// find its connected components three ways (sequential union-find, and
+// Shiloach-Vishkin on the simulated MTA and SMP), report the component-size
+// distribution, then build a BFS spanning forest on the simulated MTA.
 #include <algorithm>
 #include <iostream>
 #include <map>
 
 #include "common/table.hpp"
 #include "core/concomp/concomp.hpp"
-#include "core/concomp/spanning_forest.hpp"
 #include "core/experiment.hpp"
 #include "core/kernels/kernels.hpp"
 #include "graph/generators.hpp"
-#include "rt/thread_pool.hpp"
+#include "graph/validate.hpp"
 #include "sim/machine_spec.hpp"
 
 int main() {
@@ -28,18 +27,21 @@ int main() {
   const graph::EdgeList g = graph::rmat_graph(n, m, 0.55, 0.2, 0.15, 7);
 
   // --- components, three ways ---------------------------------------------
-  rt::ThreadPool pool(4);
   const auto seq_labels = core::cc_union_find(g);
-  const auto par_labels = core::cc_shiloach_vishkin(pool, g);
   const auto mta = sim::make_machine("mta:procs=8");
-  const auto sim_result = core::sim_cc_sv_mta(*mta, g);
+  const auto mta_result = core::sim_cc_sv_mta(*mta, g);
+  const auto smp = sim::make_machine("smp:procs=8");
+  const auto smp_result = core::sim_cc_sv_smp(*smp, g);
 
-  AG_CHECK(seq_labels == par_labels, "parallel SV disagrees with union-find");
-  AG_CHECK(seq_labels == sim_result.labels, "simulated SV disagrees");
-  std::cout << "all three implementations agree; simulated MTA (p=8) took "
-            << mta->seconds() * 1e3 << " ms over " << sim_result.iterations
-            << " SV iterations at " << 100.0 * mta->utilization()
-            << "% utilization\n\n";
+  AG_CHECK(seq_labels == mta_result.labels, "simulated MTA SV disagrees");
+  AG_CHECK(seq_labels == smp_result.labels, "simulated SMP SV disagrees");
+  std::cout << "all three implementations agree (p=8):\n"
+            << "  Cray MTA-2: " << mta->seconds() * 1e3 << " ms over "
+            << mta_result.iterations << " SV iterations at "
+            << 100.0 * mta->utilization() << "% utilization\n"
+            << "  Sun SMP:    " << smp->seconds() * 1e3 << " ms over "
+            << smp_result.iterations << " SV iterations at "
+            << 100.0 * smp->utilization() << "% utilization\n\n";
 
   // --- component-size distribution ----------------------------------------
   std::map<NodeId, i64> size_of;
@@ -68,17 +70,24 @@ int main() {
             << t << '\n';
 
   // --- spanning forest of the whole network --------------------------------
-  const core::SpanningForest forest = core::spanning_forest_sv(pool, g);
-  AG_CHECK(core::is_spanning_forest(g, forest), "invalid spanning forest");
+  // A BFS forest is a spanning forest: every non-root vertex contributes the
+  // tree edge to its parent.
+  const auto bfs_mta = sim::make_machine("mta:procs=8");
+  const core::SimBfsResult forest = core::sim_bfs_tree_mta(*bfs_mta, g);
+  AG_CHECK(graph::validate::is_bfs_forest(g, forest.parent, forest.level),
+           "invalid BFS forest");
+  i64 tree_edges = 0;
   i64 giant_tree_edges = 0;
-  for (const graph::Edge& e : forest.edges) {
-    if (seq_labels[static_cast<usize>(e.u)] == giant_label) {
+  for (NodeId v = 0; v < n; ++v) {
+    if (forest.parent[static_cast<usize>(v)] == v) continue;
+    ++tree_edges;
+    if (seq_labels[static_cast<usize>(v)] == giant_label) {
       ++giant_tree_edges;
     }
   }
-  std::cout << "spanning forest: " << forest.edges.size()
-            << " edges total; the giant component's tree has "
-            << giant_tree_edges << " edges (= size-1 = " << giant - 1
-            << ")\n";
+  std::cout << "BFS spanning forest (simulated MTA, p=8): " << tree_edges
+            << " edges total over " << forest.components
+            << " trees; the giant component's tree has " << giant_tree_edges
+            << " edges (= size-1 = " << giant - 1 << ")\n";
   return 0;
 }

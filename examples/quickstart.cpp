@@ -1,6 +1,6 @@
 // Quickstart: the three things archgraph does, in ~60 lines.
-//   1. Rank a linked list (sequential and parallel Helman–JáJá).
-//   2. Find connected components of a random graph.
+//   1. Rank a linked list with the sequential host reference.
+//   2. Find connected components of a random graph with union-find.
 //   3. Run the same kernels on the simulated Cray MTA-2 and Sun SMP and
 //      compare simulated times — the paper's experiment in miniature.
 #include <iostream>
@@ -12,25 +12,23 @@
 #include "graph/generators.hpp"
 #include "graph/linked_list.hpp"
 #include "graph/validate.hpp"
-#include "rt/thread_pool.hpp"
 #include "sim/machine_spec.hpp"
 
 int main() {
   using namespace archgraph;
 
-  // --- 1. list ranking, host-native --------------------------------------
+  // --- 1. list ranking, host reference ------------------------------------
   const i64 n = 100'000;
   const graph::LinkedList list = graph::random_list(n, /*seed=*/1);
-  rt::ThreadPool pool(4);
-  const std::vector<i64> ranks = core::rank_helman_jaja(pool, list);
+  const std::vector<i64> ranks = core::rank_sequential(list);
   std::cout << "list ranking: ranked " << n << " nodes; head is at slot "
             << list.head << " (rank " << ranks[static_cast<usize>(list.head)]
             << "), valid = " << std::boolalpha
-            << (ranks == core::rank_sequential(list)) << "\n";
+            << (ranks == graph::ranks_by_traversal(list)) << "\n";
 
-  // --- 2. connected components, host-native ------------------------------
+  // --- 2. connected components, host reference ----------------------------
   const graph::EdgeList g = graph::random_graph(50'000, 120'000, /*seed=*/2);
-  const std::vector<NodeId> labels = core::cc_shiloach_vishkin(pool, g);
+  const std::vector<NodeId> labels = core::cc_union_find(g);
   std::cout << "connected components: n=" << g.num_vertices()
             << " m=" << g.num_edges() << " -> "
             << graph::validate::count_distinct_labels(labels)

@@ -1,20 +1,17 @@
 // archgraph_cli — run the library's kernels on generated or DIMACS inputs
-// from the command line, natively or on the simulated machines.
+// from the command line, on the simulated machines.
 //
 // Usage:
 //   archgraph_cli cc     [--input FILE | --random n,m,seed]
-//                        [--algorithm uf|bfs|dfs|sv|as|mate]
-//                        [--machine native|SPEC] [--procs P]
+//                        [--machine SPEC] [--procs P]
 //   archgraph_cli rank   [--n N] [--layout ordered|random] [--seed S]
-//                        [--algorithm seq|wyllie|hj|compaction|walk]
-//                        [--machine native|SPEC] [--procs P]
-//   archgraph_cli msf    [--input FILE | --random n,m,seed]
-//                        [--algorithm kruskal|boruvka|boruvka-par]
+//                        [--algorithm walk|hj|wyllie|seq]
+//                        [--machine SPEC] [--procs P]
 //   archgraph_cli color  [--input FILE | --random n,m,seed]
 //                        [--branch-avoiding]
-//                        [--machine native|SPEC] [--procs P]
+//                        [--machine SPEC] [--procs P]
 //   archgraph_cli bfs    [--input FILE | --random n,m,seed]
-//                        [--machine native|SPEC] [--procs P]
+//                        [--machine SPEC] [--procs P]
 //   archgraph_cli gen    --random n,m,seed --output FILE     (DIMACS writer)
 //   archgraph_cli --list                       (kernels and machine presets)
 //
@@ -22,10 +19,10 @@
 // a preset ("mta", "smp", or "gpu", the paper-default configurations)
 // optionally followed by ":key=value,..." overrides, e.g. --machine
 // mta:procs=40 or gpu:procs=8 (see src/sim/machine_spec.hpp for the key
-// tables). --procs P is shorthand for a procs=P override; an explicit
-// procs= inside SPEC wins over it.
+// tables). It defaults to "mta". --procs P is shorthand for a procs=P
+// override; an explicit procs= inside SPEC wins over it.
 //
-// Observability (simulated machines only):
+// Observability (rank, cc, color and bfs):
 //   --trace FILE          write the phase/region JSONL event trace to FILE
 //   --json                print the run-summary JSON document on stdout
 //                         instead of the human-readable report
@@ -41,8 +38,8 @@
 //                         the same registry appears in --json under
 //                         "host_metrics"
 //
-// Simulated runs print cycles, simulated seconds and utilization; native
-// runs print wall time. Every run self-checks against a reference.
+// Runs print cycles, simulated seconds and utilization. Every run self-checks
+// against a sequential host reference.
 #include <algorithm>
 #include <cstring>
 #include <fstream>
@@ -51,7 +48,6 @@
 #include <map>
 #include <sstream>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "common/check.hpp"
@@ -61,7 +57,6 @@
 #include "core/experiment.hpp"
 #include "core/kernels/kernels.hpp"
 #include "core/listrank/listrank.hpp"
-#include "core/mst/mst.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/linked_list.hpp"
@@ -69,7 +64,6 @@
 #include "obs/prof/prof.hpp"
 #include "obs/telemetry/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "rt/thread_pool.hpp"
 #include "sim/machine_spec.hpp"
 #include "sweep/registry.hpp"
 
@@ -97,7 +91,7 @@ struct Options {
     return parse_i64("--" + key, it->second);
   }
   /// For count-like flags (--procs): "--procs wants a positive integer,
-  /// got '0'" instead of a thread-pool error from deep inside the run.
+  /// got '0'" instead of a machine-spec error from deep inside the run.
   i64 get_positive_int(const std::string& key, i64 fallback) const {
     const auto it = named.find(key);
     if (it == named.end()) return fallback;
@@ -107,7 +101,7 @@ struct Options {
 
 Options parse(int argc, char** argv) {
   AG_CHECK(argc >= 2,
-           "usage: archgraph_cli <cc|rank|msf|color|bfs|gen> [--flag value]");
+           "usage: archgraph_cli <cc|rank|color|bfs|gen> [--flag value]");
   Options opts;
   opts.command = argv[1];
   for (int i = 2; i < argc; ++i) {
@@ -124,23 +118,15 @@ Options parse(int argc, char** argv) {
   return opts;
 }
 
-graph::EdgeList load_graph(const Options& opts,
-                           std::optional<std::vector<i64>>* weights) {
+graph::EdgeList load_graph(const Options& opts) {
   if (opts.named.contains("input")) {
-    graph::DimacsGraph g = graph::read_dimacs_file(opts.get("input", ""));
-    if (weights != nullptr) {
-      *weights = std::move(g.weights);
-    }
-    return std::move(g.edges);
+    return graph::read_dimacs_file(opts.get("input", "")).edges;
   }
   const std::string spec = opts.get("random", "10000,40000,1");
   i64 n = 0, m = 0;
   u64 seed = 0;
   AG_CHECK(std::sscanf(spec.c_str(), "%ld,%ld,%lu", &n, &m, &seed) == 3,
            "--random wants n,m,seed");
-  if (weights != nullptr) {
-    *weights = std::nullopt;
-  }
   return graph::random_graph(n, m, seed);
 }
 
@@ -300,89 +286,50 @@ void finish_simulated(obs::TraceSession& session, const sim::Machine& machine,
   }
 }
 
-/// --trace/--json/--profile* snapshot machine counters, which native runs
-/// don't have.
-void check_observability_flags(const Options& opts, bool simulated) {
-  AG_CHECK(simulated ||
-               (!opts.has("json") && !opts.has("trace") &&
-                !opts.has("profile") && !opts.has("profile-trace") &&
-                !opts.has("profile-interval") && !opts.has("metrics-out")),
-           "--trace/--json/--profile/--metrics-out flags require a simulated "
-           "--machine (mta/smp/gpu spec)");
-}
-
 int run_cc(const Options& opts) {
-  const graph::EdgeList g = load_graph(opts, nullptr);
-  const std::string algorithm = opts.get("algorithm", "sv");
-  const std::string machine = opts.get("machine", "native");
+  const graph::EdgeList g = load_graph(opts);
+  const std::string machine = opts.get("machine", "mta");
   const auto procs = static_cast<u32>(opts.get_positive_int("procs", 4));
-  const bool simulated = machine != "native";
-  check_observability_flags(opts, simulated);
   const bool json = opts.has("json");
   if (!json) {
     std::cout << "connected components: n=" << g.num_vertices()
-              << " m=" << g.num_edges() << " algorithm=" << algorithm
-              << " machine=" << machine << " p=" << procs << '\n';
+              << " m=" << g.num_edges() << " machine=" << machine
+              << " p=" << procs << '\n';
   }
 
-  std::vector<NodeId> labels;
-  if (simulated) {
-    const sim::MachineSpec spec = parse_machine_opt(machine, procs);
-    const std::string arch = sim::arch_name(spec.arch);
-    obs::TraceSession session("cc/" + algorithm + "/" + arch);
-    obs::TraceSession::Install install(session);
-    Profiling prof = Profiling::from_options(opts);
-    std::unique_ptr<sim::Machine> m = sim::make_machine(spec);
-    session.attach(*m, arch);
-    prof.attach(*m, arch);
-    Timer host_timer;
-    // The _mta kernel family is machine-neutral (full/empty bits work on any
-    // sim::Machine); only the SMP variants carry cache-conscious layouts.
-    const core::SimCcResult result = spec.arch == sim::MachineArch::kSmp
-                                         ? core::sim_cc_sv_smp(*m, g)
-                                         : core::sim_cc_sv_mta(*m, g);
-    const double host_seconds = host_timer.seconds();
-    labels = result.labels;
-    AG_CHECK(labels == core::cc_union_find(g), "self-check failed");
-    session.counter_add("cc.components",
-                        graph::validate::count_distinct_labels(labels));
-    finish_simulated(session, *m, prof, opts, host_seconds);
-  } else {
-    rt::ThreadPool pool(static_cast<usize>(procs));
-    Timer timer;
-    if (algorithm == "uf") {
-      labels = core::cc_union_find(g);
-    } else if (algorithm == "bfs") {
-      labels = core::cc_bfs(graph::CsrGraph::from_edges(g));
-    } else if (algorithm == "dfs") {
-      labels = core::cc_dfs(graph::CsrGraph::from_edges(g));
-    } else if (algorithm == "sv") {
-      labels = core::cc_shiloach_vishkin(pool, g);
-    } else if (algorithm == "as") {
-      labels = core::cc_awerbuch_shiloach(pool, g);
-    } else if (algorithm == "mate") {
-      labels = core::cc_random_mating(pool, g);
-    } else {
-      AG_CHECK(false, "unknown --algorithm " + algorithm);
-    }
-    std::cout << "wall time:     " << timer.seconds() * 1e3 << " ms\n";
-    AG_CHECK(labels == core::cc_union_find(g), "self-check failed");
-  }
+  const sim::MachineSpec spec = parse_machine_opt(machine, procs);
+  const std::string arch = sim::arch_name(spec.arch);
+  // Built before the sessions so it outlives them: their destructors detach.
+  std::unique_ptr<sim::Machine> m = sim::make_machine(spec);
+  obs::TraceSession session("cc/sv/" + arch);
+  obs::TraceSession::Install install(session);
+  Profiling prof = Profiling::from_options(opts);
+  session.attach(*m, arch);
+  prof.attach(*m, arch);
+  Timer host_timer;
+  // The _mta kernel family is machine-neutral (full/empty bits work on any
+  // sim::Machine); only the SMP variants carry cache-conscious layouts.
+  const core::SimCcResult result = spec.arch == sim::MachineArch::kSmp
+                                       ? core::sim_cc_sv_smp(*m, g)
+                                       : core::sim_cc_sv_mta(*m, g);
+  const double host_seconds = host_timer.seconds();
+  AG_CHECK(result.labels == core::cc_union_find(g), "self-check failed");
+  const i64 components =
+      graph::validate::count_distinct_labels(result.labels);
+  session.counter_add("cc.components", components);
+  finish_simulated(session, *m, prof, opts, host_seconds);
   if (!json) {
-    std::cout << "components:    "
-              << graph::validate::count_distinct_labels(labels)
+    std::cout << "components:    " << components
               << " (verified against union-find)\n";
   }
   return 0;
 }
 
 int run_color(const Options& opts) {
-  const graph::EdgeList g = load_graph(opts, nullptr);
-  const std::string machine = opts.get("machine", "native");
+  const graph::EdgeList g = load_graph(opts);
+  const std::string machine = opts.get("machine", "mta");
   const auto procs = static_cast<u32>(opts.get_positive_int("procs", 4));
   const bool branch_avoiding = opts.has("branch-avoiding");
-  const bool simulated = machine != "native";
-  check_observability_flags(opts, simulated);
   const bool json = opts.has("json");
   if (!json) {
     std::cout << "greedy coloring: n=" << g.num_vertices()
@@ -391,71 +338,51 @@ int run_color(const Options& opts) {
               << " machine=" << machine << " p=" << procs << '\n';
   }
 
+  const sim::MachineSpec spec = parse_machine_opt(machine, procs);
+  const std::string arch = sim::arch_name(spec.arch);
+  // Built before the sessions so it outlives them: their destructors detach.
+  std::unique_ptr<sim::Machine> m = sim::make_machine(spec);
+  obs::TraceSession session("color/greedy/" + arch);
+  obs::TraceSession::Install install(session);
+  Profiling prof = Profiling::from_options(opts);
+  session.attach(*m, arch);
+  prof.attach(*m, arch);
+  Timer host_timer;
+  core::SimColorResult result;
+  if (spec.arch == sim::MachineArch::kSmp) {
+    core::SmpColorParams params;
+    params.branch_avoiding = branch_avoiding;
+    result = core::sim_color_greedy_smp(*m, g, params);
+  } else {
+    core::MtaColorParams params;
+    params.branch_avoiding = branch_avoiding;
+    result = core::sim_color_greedy_mta(*m, g, params);
+  }
+  const double host_seconds = host_timer.seconds();
   // The speculative kernels' unique fixed point is the sequential first-fit
   // coloring, so the check is exact equality (plus properness) — see
   // color_greedy_sim.cpp.
-  const std::vector<i64> reference =
-      core::color_greedy_seq(graph::CsrGraph::from_edges(g));
-  std::vector<i64> colors;
-  i64 rounds = -1;
-  if (simulated) {
-    const sim::MachineSpec spec = parse_machine_opt(machine, procs);
-    const std::string arch = sim::arch_name(spec.arch);
-    obs::TraceSession session("color/greedy/" + arch);
-    obs::TraceSession::Install install(session);
-    Profiling prof = Profiling::from_options(opts);
-    std::unique_ptr<sim::Machine> m = sim::make_machine(spec);
-    session.attach(*m, arch);
-    prof.attach(*m, arch);
-    Timer host_timer;
-    core::SimColorResult result;
-    if (spec.arch == sim::MachineArch::kSmp) {
-      core::SmpColorParams params;
-      params.branch_avoiding = branch_avoiding;
-      result = core::sim_color_greedy_smp(*m, g, params);
-    } else {
-      core::MtaColorParams params;
-      params.branch_avoiding = branch_avoiding;
-      result = core::sim_color_greedy_mta(*m, g, params);
-    }
-    const double host_seconds = host_timer.seconds();
-    colors = std::move(result.colors);
-    rounds = result.rounds;
-    AG_CHECK(graph::validate::is_proper_coloring(g, colors),
-             "self-check failed (coloring not proper)");
-    AG_CHECK(colors == reference, "self-check failed (!= sequential greedy)");
-    const i64 palette =
-        colors.empty() ? 0
-                       : *std::max_element(colors.begin(), colors.end()) + 1;
-    session.counter_add("color.palette", palette);
-    finish_simulated(session, *m, prof, opts, host_seconds);
-  } else {
-    Timer timer;
-    colors = core::color_greedy_seq(graph::CsrGraph::from_edges(g));
-    std::cout << "wall time:     " << timer.seconds() * 1e3 << " ms\n";
-    AG_CHECK(graph::validate::is_proper_coloring(g, colors),
-             "self-check failed (coloring not proper)");
-    AG_CHECK(colors == reference, "self-check failed (!= sequential greedy)");
-  }
+  const std::vector<i64>& colors = result.colors;
+  AG_CHECK(graph::validate::is_proper_coloring(g, colors),
+           "self-check failed (coloring not proper)");
+  AG_CHECK(colors == core::color_greedy_seq(graph::CsrGraph::from_edges(g)),
+           "self-check failed (!= sequential greedy)");
+  const i64 palette =
+      colors.empty() ? 0 : *std::max_element(colors.begin(), colors.end()) + 1;
+  session.counter_add("color.palette", palette);
+  finish_simulated(session, *m, prof, opts, host_seconds);
   if (!json) {
-    const i64 palette =
-        colors.empty() ? 0
-                       : *std::max_element(colors.begin(), colors.end()) + 1;
     std::cout << "colors:        " << palette
-              << " (verified proper, == sequential greedy)\n";
-    if (rounds >= 0) {
-      std::cout << "rounds:        " << rounds << '\n';
-    }
+              << " (verified proper, == sequential greedy)\n"
+              << "rounds:        " << result.rounds << '\n';
   }
   return 0;
 }
 
 int run_bfs(const Options& opts) {
-  const graph::EdgeList g = load_graph(opts, nullptr);
-  const std::string machine = opts.get("machine", "native");
+  const graph::EdgeList g = load_graph(opts);
+  const std::string machine = opts.get("machine", "mta");
   const auto procs = static_cast<u32>(opts.get_positive_int("procs", 4));
-  const bool simulated = machine != "native";
-  check_observability_flags(opts, simulated);
   const bool json = opts.has("json");
   if (!json) {
     std::cout << "BFS spanning forest: n=" << g.num_vertices()
@@ -463,56 +390,36 @@ int run_bfs(const Options& opts) {
               << " p=" << procs << '\n';
   }
 
+  const sim::MachineSpec spec = parse_machine_opt(machine, procs);
+  const std::string arch = sim::arch_name(spec.arch);
+  // Built before the sessions so it outlives them: their destructors detach.
+  std::unique_ptr<sim::Machine> m = sim::make_machine(spec);
+  obs::TraceSession session("bfs/tree/" + arch);
+  obs::TraceSession::Install install(session);
+  Profiling prof = Profiling::from_options(opts);
+  session.attach(*m, arch);
+  prof.attach(*m, arch);
+  Timer host_timer;
+  const core::SimBfsResult result = spec.arch == sim::MachineArch::kSmp
+                                        ? core::sim_bfs_tree_smp(*m, g)
+                                        : core::sim_bfs_tree_mta(*m, g);
+  const double host_seconds = host_timer.seconds();
   // Levels are exact BFS distances on every schedule; parents are
   // race-resolved, so they are validated structurally instead of compared.
-  const core::BfsForest reference =
-      core::bfs_tree_seq(graph::CsrGraph::from_edges(g));
-  std::vector<NodeId> parent;
-  std::vector<i64> level;
-  i64 components = 0;
-  i64 rounds = -1;
-  if (simulated) {
-    const sim::MachineSpec spec = parse_machine_opt(machine, procs);
-    const std::string arch = sim::arch_name(spec.arch);
-    obs::TraceSession session("bfs/tree/" + arch);
-    obs::TraceSession::Install install(session);
-    Profiling prof = Profiling::from_options(opts);
-    std::unique_ptr<sim::Machine> m = sim::make_machine(spec);
-    session.attach(*m, arch);
-    prof.attach(*m, arch);
-    Timer host_timer;
-    core::SimBfsResult result = spec.arch == sim::MachineArch::kSmp
-                                    ? core::sim_bfs_tree_smp(*m, g)
-                                    : core::sim_bfs_tree_mta(*m, g);
-    const double host_seconds = host_timer.seconds();
-    AG_CHECK(graph::validate::is_bfs_forest(g, result.parent, result.level),
-             "self-check failed (not a BFS forest)");
-    AG_CHECK(result.level == reference.level,
-             "self-check failed (levels != sequential BFS)");
-    parent = std::move(result.parent);
-    level = std::move(result.level);
-    components = result.components;
-    rounds = result.rounds;
-    finish_simulated(session, *m, prof, opts, host_seconds);
-  } else {
-    Timer timer;
-    core::BfsForest forest = core::bfs_tree_seq(graph::CsrGraph::from_edges(g));
-    std::cout << "wall time:     " << timer.seconds() * 1e3 << " ms\n";
-    AG_CHECK(graph::validate::is_bfs_forest(g, forest.parent, forest.level),
-             "self-check failed (not a BFS forest)");
-    parent = std::move(forest.parent);
-    level = std::move(forest.level);
-    components = forest.components;
-  }
+  AG_CHECK(graph::validate::is_bfs_forest(g, result.parent, result.level),
+           "self-check failed (not a BFS forest)");
+  AG_CHECK(result.level ==
+               core::bfs_tree_seq(graph::CsrGraph::from_edges(g)).level,
+           "self-check failed (levels != sequential BFS)");
+  finish_simulated(session, *m, prof, opts, host_seconds);
   if (!json) {
+    const std::vector<i64>& level = result.level;
     const i64 depth =
         level.empty() ? 0 : *std::max_element(level.begin(), level.end());
-    std::cout << "components:    " << components
+    std::cout << "components:    " << result.components
               << " (verified BFS forest, exact levels)\n"
-              << "max depth:     " << depth << '\n';
-    if (rounds >= 0) {
-      std::cout << "rounds:        " << rounds << '\n';
-    }
+              << "max depth:     " << depth << '\n'
+              << "rounds:        " << result.rounds << '\n';
   }
   return 0;
 }
@@ -525,10 +432,8 @@ int run_rank(const Options& opts) {
           ? graph::ordered_list(n)
           : graph::random_list(n, static_cast<u64>(opts.get_int("seed", 1)));
   const std::string algorithm = opts.get("algorithm", "hj");
-  const std::string machine = opts.get("machine", "native");
+  const std::string machine = opts.get("machine", "mta");
   const auto procs = static_cast<u32>(opts.get_positive_int("procs", 4));
-  const bool simulated = machine != "native";
-  check_observability_flags(opts, simulated);
   const bool json = opts.has("json");
   if (!json) {
     std::cout << "list ranking: n=" << n << " layout=" << layout
@@ -536,84 +441,31 @@ int run_rank(const Options& opts) {
               << " p=" << procs << '\n';
   }
 
-  std::vector<i64> ranks;
-  if (simulated) {
-    auto run_on = [&](sim::Machine& m) {
-      if (algorithm == "walk") return core::sim_rank_list_walk(m, list);
-      if (algorithm == "hj") return core::sim_rank_list_hj(m, list);
-      if (algorithm == "wyllie") return core::sim_rank_list_wyllie(m, list);
-      if (algorithm == "seq") return core::sim_rank_list_sequential(m, list);
-      AG_CHECK(false, "unknown simulated --algorithm " + algorithm);
-      return std::vector<i64>{};
-    };
-    const sim::MachineSpec spec = parse_machine_opt(machine, procs);
-    const std::string arch = sim::arch_name(spec.arch);
-    obs::TraceSession session("rank/" + algorithm + "/" + arch);
-    obs::TraceSession::Install install(session);
-    Profiling prof = Profiling::from_options(opts);
-    std::unique_ptr<sim::Machine> m = sim::make_machine(spec);
-    session.attach(*m, arch);
-    prof.attach(*m, arch);
-    Timer host_timer;
-    ranks = run_on(*m);
-    const double host_seconds = host_timer.seconds();
-    AG_CHECK(ranks == core::rank_sequential(list), "self-check failed");
-    finish_simulated(session, *m, prof, opts, host_seconds);
-  } else {
-    rt::ThreadPool pool(static_cast<usize>(procs));
-    Timer timer;
-    if (algorithm == "seq") {
-      ranks = core::rank_sequential(list);
-    } else if (algorithm == "wyllie") {
-      ranks = core::rank_wyllie(pool, list);
-    } else if (algorithm == "hj") {
-      ranks = core::rank_helman_jaja(pool, list);
-    } else if (algorithm == "compaction") {
-      ranks = core::rank_by_compaction(pool, list);
-    } else {
-      AG_CHECK(false, "unknown --algorithm " + algorithm);
-    }
-    std::cout << "wall time:     " << timer.seconds() * 1e3 << " ms\n";
-    AG_CHECK(ranks == core::rank_sequential(list), "self-check failed");
-  }
+  auto run_on = [&](sim::Machine& m) {
+    if (algorithm == "walk") return core::sim_rank_list_walk(m, list);
+    if (algorithm == "hj") return core::sim_rank_list_hj(m, list);
+    if (algorithm == "wyllie") return core::sim_rank_list_wyllie(m, list);
+    if (algorithm == "seq") return core::sim_rank_list_sequential(m, list);
+    AG_CHECK(false, "unknown simulated --algorithm " + algorithm);
+    return std::vector<i64>{};
+  };
+  const sim::MachineSpec spec = parse_machine_opt(machine, procs);
+  const std::string arch = sim::arch_name(spec.arch);
+  // Built before the sessions so it outlives them: their destructors detach.
+  std::unique_ptr<sim::Machine> m = sim::make_machine(spec);
+  obs::TraceSession session("rank/" + algorithm + "/" + arch);
+  obs::TraceSession::Install install(session);
+  Profiling prof = Profiling::from_options(opts);
+  session.attach(*m, arch);
+  prof.attach(*m, arch);
+  Timer host_timer;
+  const std::vector<i64> ranks = run_on(*m);
+  const double host_seconds = host_timer.seconds();
+  AG_CHECK(ranks == core::rank_sequential(list), "self-check failed");
+  finish_simulated(session, *m, prof, opts, host_seconds);
   if (!json) {
     std::cout << "verified against the sequential ranking\n";
   }
-  return 0;
-}
-
-int run_msf(const Options& opts) {
-  std::optional<std::vector<i64>> file_weights;
-  const graph::EdgeList g = load_graph(opts, &file_weights);
-  const std::vector<i64> weights =
-      file_weights.has_value()
-          ? *file_weights
-          : core::unique_random_weights(g.num_edges(),
-                                        static_cast<u64>(
-                                            opts.get_int("seed", 1)));
-  const std::string algorithm = opts.get("algorithm", "boruvka-par");
-  check_observability_flags(opts, /*simulated=*/false);
-  std::cout << "minimum spanning forest: n=" << g.num_vertices()
-            << " m=" << g.num_edges() << " algorithm=" << algorithm << '\n';
-
-  rt::ThreadPool pool(static_cast<usize>(opts.get_positive_int("procs", 4)));
-  Timer timer;
-  core::MsfResult result;
-  if (algorithm == "kruskal") {
-    result = core::msf_kruskal(g, weights);
-  } else if (algorithm == "boruvka") {
-    result = core::msf_boruvka(g, weights);
-  } else if (algorithm == "boruvka-par") {
-    result = core::msf_boruvka_parallel(pool, g, weights);
-  } else {
-    AG_CHECK(false, "unknown --algorithm " + algorithm);
-  }
-  std::cout << "wall time:     " << timer.seconds() * 1e3 << " ms\n";
-  AG_CHECK(core::is_minimum_spanning_forest(g, weights, result),
-           "self-check failed");
-  std::cout << "forest edges:  " << result.edge_ids.size()
-            << ", total weight " << result.total_weight
-            << " (verified against Kruskal)\n";
   return 0;
 }
 
@@ -634,8 +486,13 @@ int run_list() {
 }
 
 int run_gen(const Options& opts) {
-  check_observability_flags(opts, /*simulated=*/false);
-  const graph::EdgeList g = load_graph(opts, nullptr);
+  // gen simulates nothing, so there are no machine counters to report.
+  AG_CHECK(!opts.has("json") && !opts.has("trace") && !opts.has("profile") &&
+               !opts.has("profile-trace") && !opts.has("profile-interval") &&
+               !opts.has("metrics-out"),
+           "--trace/--json/--profile/--metrics-out flags apply to simulated "
+           "runs, not gen");
+  const graph::EdgeList g = load_graph(opts);
   const std::string output = opts.get("output", "");
   AG_CHECK(!output.empty(), "gen needs --output FILE");
   graph::write_dimacs_file(output, g, nullptr, "generated by archgraph_cli");
@@ -651,7 +508,6 @@ int main(int argc, char** argv) {
     const Options opts = parse(argc, argv);
     if (opts.command == "cc") return run_cc(opts);
     if (opts.command == "rank") return run_rank(opts);
-    if (opts.command == "msf") return run_msf(opts);
     if (opts.command == "color") return run_color(opts);
     if (opts.command == "bfs") return run_bfs(opts);
     if (opts.command == "gen") return run_gen(opts);

@@ -16,6 +16,17 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 echo "== ctest =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
+echo "== examples (each must exit 0) =="
+# The examples self-check their answers with AG_CHECK, so a clean exit is a
+# correctness check of the library flows they drive.
+for example in quickstart network_components architecture_explorer; do
+  "$BUILD_DIR"/examples/"$example" >/dev/null || {
+    echo "error: example $example failed" >&2
+    exit 1
+  }
+done
+echo "ok: quickstart, network_components, architecture_explorer ran clean"
+
 echo "== bench (quick scale, JSON) =="
 OUT_DIR="$(mktemp -d)"
 trap 'rm -rf "$OUT_DIR"' EXIT
@@ -179,7 +190,17 @@ if "$BUILD_DIR"/tools/archgraph_cli cc --machine gpu:wavefront=64 \
   echo "error: unknown gpu spec key did not fail" >&2
   exit 1
 fi
-echo "ok: malformed specs rejected (mta unknown key, gpu zero width, gpu unknown key)"
+if "$BUILD_DIR"/tools/archgraph_cli cc --machine native \
+    --random 1024,4096,1 >/dev/null 2>&1; then
+  echo "error: --machine native did not fail" >&2
+  exit 1
+fi
+if "$BUILD_DIR"/tools/archgraph_cli msf --random 1024,4096,1 \
+    >/dev/null 2>&1; then
+  echo "error: the removed msf subcommand did not fail" >&2
+  exit 1
+fi
+echo "ok: malformed specs rejected (mta unknown key, gpu zero width, gpu unknown key, native, msf)"
 
 echo "== sweep determinism (--jobs must not change the output) =="
 "$BUILD_DIR"/tools/archgraph_sweep --list >/dev/null
