@@ -9,10 +9,17 @@
 #include "graph/csr_graph.hpp"
 #include "graph/generators.hpp"
 #include "graph/validate.hpp"
+#include "obs/trace.hpp"
 
 namespace archgraph::sweep {
 
 namespace {
+
+/// Largest element of `values`, or `empty` when there is none.
+i64 max_or(const std::vector<i64>& values, i64 empty) {
+  return values.empty() ? empty
+                        : *std::max_element(values.begin(), values.end());
+}
 
 /// Wraps a list-ranking kernel: run, then (optionally) check against the
 /// native sequential ranking.
@@ -52,6 +59,10 @@ KernelInfo cc_kernel(std::string name, std::string description, F&& fn) {
       AG_CHECK(result.labels == core::cc_union_find(input.graph),
                "sweep kernel self-check failed (connected components)");
       run.verified = true;
+      if (obs::TraceSession::current() != nullptr) {
+        obs::counter_add("cc.components",
+                         graph::validate::count_distinct_labels(result.labels));
+      }
     }
     return run;
   };
@@ -79,6 +90,9 @@ KernelInfo color_kernel(std::string name, std::string description, F&& fn) {
                                     graph::CsrGraph::from_edges(input.graph)),
                "sweep kernel self-check failed (coloring != greedy)");
       run.verified = true;
+      if (obs::TraceSession::current() != nullptr) {
+        obs::counter_add("color.palette", max_or(result.colors, -1) + 1);
+      }
     }
     return run;
   };
@@ -109,6 +123,9 @@ KernelInfo bfs_kernel(std::string name, std::string description, F&& fn) {
                                    .level,
                "sweep kernel self-check failed (BFS levels)");
       run.verified = true;
+      if (obs::TraceSession::current() != nullptr) {
+        obs::counter_add("bfs.depth", max_or(result.level, 0));
+      }
     }
     return run;
   };
@@ -150,26 +167,13 @@ std::vector<KernelInfo> build_registry() {
       [](sim::Machine& m, const graph::EdgeList& g) {
         return core::sim_cc_sv_smp(m, g);
       }));
-  {
-    KernelInfo info;
-    info.name = "cc_uf_seq";
-    info.description =
-        "connected components, best-sequential union-find (baseline)";
-    info.input = InputKind::kGraph;
-    info.run = [](sim::Machine& machine, const KernelInput& input,
-                  bool verify) {
-      const std::vector<NodeId> labels =
-          core::sim_cc_union_find_sequential(machine, input.graph);
-      KernelRun run;
-      if (verify) {
-        AG_CHECK(labels == core::cc_union_find(input.graph),
-                 "sweep kernel self-check failed (union-find)");
-        run.verified = true;
-      }
-      return run;
-    };
-    kernels.push_back(std::move(info));
-  }
+  kernels.push_back(cc_kernel(
+      "cc_uf_seq",
+      "connected components, best-sequential union-find (baseline)",
+      [](sim::Machine& m, const graph::EdgeList& g) {
+        // -1: a sequential pass has no iteration count.
+        return core::SimCcResult{core::sim_cc_union_find_sequential(m, g), -1};
+      }));
   kernels.push_back(color_kernel(
       "color_greedy_mta",
       "greedy coloring, speculative recolor rounds (MTA style)",
@@ -256,13 +260,8 @@ const KernelInfo& find_kernel(std::string_view name) {
   for (const KernelInfo& k : kernel_registry()) {
     if (k.name == name) return k;
   }
-  std::string valid;
-  for (const KernelInfo& k : kernel_registry()) {
-    if (!valid.empty()) valid += ", ";
-    valid += k.name;
-  }
   AG_CHECK(false, "unknown sweep kernel '" + std::string(name) +
-                      "' (valid: " + valid + ")");
+                      "' (valid: " + kernel_names_joined() + ")");
   return kernel_registry().front();  // unreachable
 }
 

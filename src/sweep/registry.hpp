@@ -39,7 +39,10 @@ struct KernelInfo {
   std::string name;
   std::string description;
   InputKind input = InputKind::kList;
-  /// Runs the kernel on `machine`; when `verify`, self-checks the answer.
+  /// Runs the kernel on `machine`; when `verify`, self-checks the answer
+  /// and, while a TraceSession is installed, adds the checked answer's
+  /// counters after the kernel's own (cc.components, color.palette,
+  /// bfs.depth).
   std::function<KernelRun(sim::Machine&, const KernelInput&, bool verify)> run;
 };
 

@@ -1,132 +1,194 @@
 // archgraph_cli — run the library's kernels on generated or DIMACS inputs
 // from the command line, on the simulated machines.
 //
-// Usage:
-//   archgraph_cli cc     [--input FILE | --random n,m,seed]
-//                        [--machine SPEC] [--procs P]
-//   archgraph_cli rank   [--n N] [--layout ordered|random] [--seed S]
-//                        [--algorithm walk|hj|wyllie|seq]
-//                        [--machine SPEC] [--procs P]
-//   archgraph_cli color  [--input FILE | --random n,m,seed]
-//                        [--branch-avoiding]
-//                        [--machine SPEC] [--procs P]
-//   archgraph_cli bfs    [--input FILE | --random n,m,seed]
-//                        [--machine SPEC] [--procs P]
-//   archgraph_cli gen    --random n,m,seed --output FILE     (DIMACS writer)
+// Usage (run with no arguments to print it):
+//   archgraph_cli rank  --n N --layout ordered|random --seed S
+//                       --algorithm walk|hj|wyllie|seq [RUN FLAGS]
+//   archgraph_cli cc    --input FILE --random n,m,seed [RUN FLAGS]
+//   archgraph_cli color --input FILE --random n,m,seed --branch-avoiding
+//                       [RUN FLAGS]
+//   archgraph_cli bfs   --input FILE --random n,m,seed [RUN FLAGS]
+//   archgraph_cli gen   --input FILE --random n,m,seed --output FILE
 //   archgraph_cli --list                       (kernels and machine presets)
 //
-// SPEC is a simulated-machine description parsed by sim::parse_machine_spec:
-// a preset ("mta", "smp", or "gpu", the paper-default configurations)
-// optionally followed by ":key=value,..." overrides, e.g. --machine
-// mta:procs=40 or gpu:procs=8 (see src/sim/machine_spec.hpp for the key
-// tables). It defaults to "mta". --procs P is shorthand for a procs=P
-// override; an explicit procs= inside SPEC wins over it.
+// Every flag is optional except gen's --output; --input and --random
+// (default 10000,40000,1) exclude each other. kCommands below is the one
+// table that validates the flags and prints the usage: an unknown,
+// inapplicable or repeated flag, or a malformed value, exits 1 naming it.
 //
-// Observability (rank, cc, color and bfs):
+// RUN FLAGS (rank, cc, color and bfs):
+//   --machine SPEC        a sim::parse_machine_spec preset ("mta", default;
+//                         "smp"; "gpu") with optional ":key=value,..."
+//                         overrides, e.g. mta:procs=40
+//   --procs P             a procs=P override (default 4); a procs= inside
+//                         SPEC wins over it
 //   --trace FILE          write the phase/region JSONL event trace to FILE
 //   --json                print the run-summary JSON document on stdout
 //                         instead of the human-readable report
-//   --profile             attach the interval profiler: counter timelines +
-//                         per-data-structure memory attribution (summary in
-//                         --json under "profile", brief table otherwise)
-//   --profile-trace FILE  write a Chrome trace-event JSON (chrome://tracing,
-//                         Perfetto) with counter tracks and phase spans;
-//                         implies --profile
+//   --profile             attach the interval profiler (summary in --json
+//                         under "profile", brief table otherwise)
+//   --profile-trace FILE  write a Chrome trace-event JSON (Perfetto) with
+//                         counter tracks and phase spans; implies --profile
 //   --profile-interval K  sampling period in simulated cycles (default 1024)
-//   --metrics-out FILE    write the host-telemetry registry (wall-clock of
-//                         the run, not simulated state) as OpenMetrics text;
-//                         the same registry appears in --json under
-//                         "host_metrics"
+//   --metrics-out FILE    write the host-telemetry registry as OpenMetrics
+//                         text (also in --json under "host_metrics")
 //
-// Runs print cycles, simulated seconds and utilization. Every run self-checks
-// against a sequential host reference.
+// Every run is one sweep-registry kernel: the registry dispatches it and
+// self-checks the answer against a sequential host reference.
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/parse.hpp"
 #include "common/timer.hpp"
-#include "core/concomp/concomp.hpp"
-#include "core/experiment.hpp"
-#include "core/kernels/kernels.hpp"
-#include "core/listrank/listrank.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/linked_list.hpp"
-#include "graph/validate.hpp"
 #include "obs/prof/prof.hpp"
 #include "obs/telemetry/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "sim/machine_spec.hpp"
 #include "sweep/registry.hpp"
+#include "sweep/spec.hpp"
 
 namespace {
 
 using namespace archgraph;
 
-/// Flags that take no value.
-bool is_bool_flag(const std::string& name) {
-  return name == "json" || name == "profile" || name == "branch-avoiding";
+/// One subcommand. `flags` is both its usage line and the table its flags
+/// are validated against: "--name VALUE" takes a value, a bare "--name" is a
+/// switch. `simulated` commands also take kRunFlags. `title` heads the human
+/// report; `family` names the kernel variant (cc_sv_*, color_greedy_*,
+/// bfs_tree_*; rank takes it from --algorithm).
+struct Command {
+  std::string name;
+  std::string flags;
+  bool simulated;
+  std::string title;
+  std::string family;
+};
+
+const std::string kRunFlags =
+    "--machine SPEC --procs P --trace FILE --json --profile "
+    "--profile-trace FILE --profile-interval K --metrics-out FILE";
+const std::string kGraphFlags = "--input FILE --random n,m,seed";
+
+const std::vector<Command> kCommands = {
+    {"rank",
+     "--n N --layout ordered|random --seed S --algorithm walk|hj|wyllie|seq",
+     true, "list ranking", ""},
+    {"cc", kGraphFlags, true, "connected components", "sv"},
+    {"color", kGraphFlags + " --branch-avoiding", true, "greedy coloring",
+     "greedy"},
+    {"bfs", kGraphFlags, true, "BFS spanning forest", "tree"},
+    {"gen", kGraphFlags + " --output FILE", false, "", ""},
+    {"--list", "", false, "", ""},
+};
+
+/// The VALUE placeholder the usage line `flags` gives --`name` ("" for a
+/// switch), or nullopt when it does not list the flag.
+std::optional<std::string> placeholder(const std::string& flags,
+                                       const std::string& name) {
+  const std::string padded = " " + flags + " ";
+  const usize at = padded.find(" --" + name + " ");
+  if (at == std::string::npos || name.find(' ') != std::string::npos) {
+    return std::nullopt;
+  }
+  const usize begin = at + name.size() + 4;  // just past " --name "
+  if (begin == padded.size() || padded[begin] == '-') return "";
+  return padded.substr(begin, padded.find(' ', begin) - begin);
+}
+
+std::string usage() {
+  std::string text = "usage:\n";
+  for (const Command& c : kCommands) {
+    text += "  archgraph_cli " + c.name + (c.flags.empty() ? "" : " ") +
+            c.flags + (c.simulated ? " [RUN FLAGS]\n" : "\n");
+  }
+  return text + "RUN FLAGS: " + kRunFlags;
 }
 
 struct Options {
-  std::string command;
+  const Command* command = nullptr;
   std::map<std::string, std::string> named;
 
+  bool is(const char* name) const { return command->name == name; }
   bool has(const std::string& key) const { return named.contains(key); }
   std::string get(const std::string& key, const std::string& fallback) const {
     const auto it = named.find(key);
     return it == named.end() ? fallback : it->second;
   }
-  i64 get_int(const std::string& key, i64 fallback) const {
+  /// `positive` is for count-like flags (--procs): "--procs wants a positive
+  /// integer, got '0'" instead of a machine-spec error from deep in the run.
+  i64 get_int(const std::string& key, i64 fallback,
+              bool positive = false) const {
     const auto it = named.find(key);
     if (it == named.end()) return fallback;
-    return parse_i64("--" + key, it->second);
-  }
-  /// For count-like flags (--procs): "--procs wants a positive integer,
-  /// got '0'" instead of a machine-spec error from deep inside the run.
-  i64 get_positive_int(const std::string& key, i64 fallback) const {
-    const auto it = named.find(key);
-    if (it == named.end()) return fallback;
-    return parse_positive_i64("--" + key, it->second);
+    return positive ? parse_positive_i64("--" + key, it->second)
+                    : parse_i64("--" + key, it->second);
   }
 };
 
 Options parse(int argc, char** argv) {
-  AG_CHECK(argc >= 2,
-           "usage: archgraph_cli <cc|rank|color|bfs|gen> [--flag value]");
+  AG_CHECK(argc >= 2, usage());
+  const std::string name = std::string(argv[1]) == "list" ? "--list" : argv[1];
   Options opts;
-  opts.command = argv[1];
+  for (const Command& c : kCommands) {
+    if (c.name == name) opts.command = &c;
+  }
+  AG_CHECK(opts.command != nullptr,
+           "unknown command '" + name + "'\n" + usage());
+  const Command& command = *opts.command;
+  const std::string flags =
+      command.simulated ? command.flags + " " + kRunFlags : command.flags;
   for (int i = 2; i < argc; ++i) {
-    const std::string flag = argv[i];
-    AG_CHECK(flag.rfind("--", 0) == 0, "flags look like '--name value'");
-    const std::string name = flag.substr(2);
-    if (is_bool_flag(name)) {
-      opts.named[name] = "1";
+    const std::string arg = argv[i];
+    AG_CHECK(arg.rfind("--", 0) == 0,
+             "flags look like '--name value', got '" + arg + "'");
+    const std::string key = arg.substr(2);
+    const std::optional<std::string> value = placeholder(flags, key);
+    AG_CHECK(value.has_value(), "unknown flag '" + arg + "' for " +
+                                    command.name + "; valid: " + flags);
+    AG_CHECK(!opts.has(key), "flag '" + arg + "' given twice");
+    if (value->empty()) {
+      opts.named[key] = "1";
       continue;
     }
-    AG_CHECK(i + 1 < argc, "flag --" + name + " needs a value");
-    opts.named[name] = argv[++i];
+    AG_CHECK(i + 1 < argc, "flag '" + arg + "' needs a value");
+    const std::string given = argv[++i];
+    // An "a|b|c" placeholder enumerates the accepted values.
+    const bool listed = given.find('|') == std::string::npos &&
+                        ("|" + *value + "|").find("|" + given + "|") !=
+                            std::string::npos;
+    AG_CHECK(value->find('|') == std::string::npos || listed,
+             arg + " wants " + *value + ", got '" + given + "'");
+    opts.named[key] = given;
   }
+  AG_CHECK(!(opts.has("input") && opts.has("random")),
+           "--input and --random are mutually exclusive");
   return opts;
 }
 
 graph::EdgeList load_graph(const Options& opts) {
-  if (opts.named.contains("input")) {
+  if (opts.has("input")) {
     return graph::read_dimacs_file(opts.get("input", "")).edges;
   }
   const std::string spec = opts.get("random", "10000,40000,1");
-  i64 n = 0, m = 0;
-  u64 seed = 0;
-  AG_CHECK(std::sscanf(spec.c_str(), "%ld,%ld,%lu", &n, &m, &seed) == 3,
-           "--random wants n,m,seed");
+  const usize c1 = spec.find(',');
+  const usize c2 = c1 == std::string::npos ? c1 : spec.find(',', c1 + 1);
+  AG_CHECK(c2 != std::string::npos,
+           "--random wants n,m,seed, got '" + spec + "'");
+  const i64 n = parse_i64("--random n", spec.substr(0, c1));
+  const i64 m = parse_i64("--random m", spec.substr(c1 + 1, c2 - c1 - 1));
+  const u64 seed = parse_u64("--random seed", spec.substr(c2 + 1));
   return graph::random_graph(n, m, seed);
 }
 
@@ -182,7 +244,7 @@ struct Profiling {
     p.trace_path = opts.get("profile-trace", "");
     if (opts.has("profile") || opts.has("profile-interval") ||
         !p.trace_path.empty()) {
-      const i64 interval = opts.get_positive_int("profile-interval", 1024);
+      const i64 interval = opts.get_int("profile-interval", 1024, true);
       p.session = std::make_unique<obs::prof::ProfSession>(interval);
       p.install =
           std::make_unique<obs::prof::ProfSession::Install>(*p.session);
@@ -220,8 +282,9 @@ void report_profile(const obs::prof::ProfSession& prof) {
 /// the Chrome trace to --profile-trace FILE, the host-telemetry registry to
 /// --metrics-out FILE, then either the summary JSON document (--json, with
 /// the profile and host_metrics objects spliced in) or the human report.
-/// `host_seconds` is the host wall-clock the kernel run took — the one
-/// number host telemetry has that the simulated counters don't.
+/// `host_seconds` is the host wall-clock the kernel run and its self-check
+/// took — the one number host telemetry has that the simulated counters
+/// don't.
 void finish_simulated(obs::TraceSession& session, const sim::Machine& machine,
                       Profiling& prof, const Options& opts,
                       double host_seconds) {
@@ -252,7 +315,8 @@ void finish_simulated(obs::TraceSession& session, const sim::Machine& machine,
       .add(1);
   telemetry.registry
       .histogram("archgraph_cli_host_seconds",
-                 "Host wall-clock of the simulated kernel run",
+                 "Host wall-clock of the simulated kernel run "
+                 "(simulate + verify)",
                  obs::telemetry::default_latency_buckets_seconds())
       .observe(host_seconds);
   const std::string metrics_path = opts.get("metrics-out", "");
@@ -286,185 +350,90 @@ void finish_simulated(obs::TraceSession& session, const sim::Machine& machine,
   }
 }
 
-int run_cc(const Options& opts) {
-  const graph::EdgeList g = load_graph(opts);
-  const std::string machine = opts.get("machine", "mta");
-  const auto procs = static_cast<u32>(opts.get_positive_int("procs", 4));
-  const bool json = opts.has("json");
-  if (!json) {
-    std::cout << "connected components: n=" << g.num_vertices()
-              << " m=" << g.num_edges() << " machine=" << machine
-              << " p=" << procs << '\n';
-  }
-
-  const sim::MachineSpec spec = parse_machine_opt(machine, procs);
-  const std::string arch = sim::arch_name(spec.arch);
-  // Built before the sessions so it outlives them: their destructors detach.
-  std::unique_ptr<sim::Machine> m = sim::make_machine(spec);
-  obs::TraceSession session("cc/sv/" + arch);
-  obs::TraceSession::Install install(session);
-  Profiling prof = Profiling::from_options(opts);
-  session.attach(*m, arch);
-  prof.attach(*m, arch);
-  Timer host_timer;
-  // The _mta kernel family is machine-neutral (full/empty bits work on any
-  // sim::Machine); only the SMP variants carry cache-conscious layouts.
-  const core::SimCcResult result = spec.arch == sim::MachineArch::kSmp
-                                       ? core::sim_cc_sv_smp(*m, g)
-                                       : core::sim_cc_sv_mta(*m, g);
-  const double host_seconds = host_timer.seconds();
-  AG_CHECK(result.labels == core::cc_union_find(g), "self-check failed");
-  const i64 components =
-      graph::validate::count_distinct_labels(result.labels);
-  session.counter_add("cc.components", components);
-  finish_simulated(session, *m, prof, opts, host_seconds);
-  if (!json) {
-    std::cout << "components:    " << components
-              << " (verified against union-find)\n";
+/// The value the run added to session counter `name` (0 if none).
+i64 counter_value(const obs::TraceSession& session, const std::string& name) {
+  for (const auto& [key, value] : session.counters()) {
+    if (key == name) return value;
   }
   return 0;
 }
 
-int run_color(const Options& opts) {
-  const graph::EdgeList g = load_graph(opts);
+/// rank, cc, color and bfs: one sweep-registry kernel on one machine, traced.
+int run_simulated(const Options& opts) {
   const std::string machine = opts.get("machine", "mta");
-  const auto procs = static_cast<u32>(opts.get_positive_int("procs", 4));
-  const bool branch_avoiding = opts.has("branch-avoiding");
+  const auto procs = static_cast<u32>(opts.get_int("procs", 4, true));
   const bool json = opts.has("json");
-  if (!json) {
-    std::cout << "greedy coloring: n=" << g.num_vertices()
-              << " m=" << g.num_edges() << " variant="
-              << (branch_avoiding ? "branch-avoiding" : "branchy")
-              << " machine=" << machine << " p=" << procs << '\n';
-  }
 
-  const sim::MachineSpec spec = parse_machine_opt(machine, procs);
-  const std::string arch = sim::arch_name(spec.arch);
-  // Built before the sessions so it outlives them: their destructors detach.
-  std::unique_ptr<sim::Machine> m = sim::make_machine(spec);
-  obs::TraceSession session("color/greedy/" + arch);
-  obs::TraceSession::Install install(session);
-  Profiling prof = Profiling::from_options(opts);
-  session.attach(*m, arch);
-  prof.attach(*m, arch);
-  Timer host_timer;
-  core::SimColorResult result;
-  if (spec.arch == sim::MachineArch::kSmp) {
-    core::SmpColorParams params;
-    params.branch_avoiding = branch_avoiding;
-    result = core::sim_color_greedy_smp(*m, g, params);
+  sweep::KernelInput input;
+  std::string variant = opts.command->family;
+  std::ostringstream banner;
+  banner << opts.command->title << ": ";
+  if (opts.is("rank")) {
+    variant = opts.get("algorithm", "hj");
+    const i64 n = opts.get_int("n", 1 << 20);
+    const sweep::Layout layout =
+        sweep::parse_layout(opts.get("layout", "random"));
+    input.list =
+        layout == sweep::Layout::kOrdered
+            ? graph::ordered_list(n)
+            : graph::random_list(n, static_cast<u64>(opts.get_int("seed", 1)));
+    banner << "n=" << n << " layout=" << sweep::layout_name(layout)
+           << " algorithm=" << variant;
   } else {
-    core::MtaColorParams params;
-    params.branch_avoiding = branch_avoiding;
-    result = core::sim_color_greedy_mta(*m, g, params);
+    input.graph = load_graph(opts);
+    banner << "n=" << input.graph.num_vertices()
+           << " m=" << input.graph.num_edges();
   }
-  const double host_seconds = host_timer.seconds();
-  // The speculative kernels' unique fixed point is the sequential first-fit
-  // coloring, so the check is exact equality (plus properness) — see
-  // color_greedy_sim.cpp.
-  const std::vector<i64>& colors = result.colors;
-  AG_CHECK(graph::validate::is_proper_coloring(g, colors),
-           "self-check failed (coloring not proper)");
-  AG_CHECK(colors == core::color_greedy_seq(graph::CsrGraph::from_edges(g)),
-           "self-check failed (!= sequential greedy)");
-  const i64 palette =
-      colors.empty() ? 0 : *std::max_element(colors.begin(), colors.end()) + 1;
-  session.counter_add("color.palette", palette);
-  finish_simulated(session, *m, prof, opts, host_seconds);
-  if (!json) {
-    std::cout << "colors:        " << palette
-              << " (verified proper, == sequential greedy)\n"
-              << "rounds:        " << result.rounds << '\n';
+  if (opts.is("color")) {
+    banner << " variant="
+           << (opts.has("branch-avoiding") ? "branch-avoiding" : "branchy");
   }
-  return 0;
-}
-
-int run_bfs(const Options& opts) {
-  const graph::EdgeList g = load_graph(opts);
-  const std::string machine = opts.get("machine", "mta");
-  const auto procs = static_cast<u32>(opts.get_positive_int("procs", 4));
-  const bool json = opts.has("json");
   if (!json) {
-    std::cout << "BFS spanning forest: n=" << g.num_vertices()
-              << " m=" << g.num_edges() << " machine=" << machine
-              << " p=" << procs << '\n';
+    std::cout << banner.str() << " machine=" << machine << " p=" << procs
+              << '\n';
   }
 
   const sim::MachineSpec spec = parse_machine_opt(machine, procs);
   const std::string arch = sim::arch_name(spec.arch);
+  // The graph kernels run their SMP-shaped variant on an smp machine and the
+  // machine-neutral _mta one elsewhere (full/empty bits work on any
+  // sim::Machine); only the SMP variants carry cache-conscious layouts.
+  std::string kernel_name =
+      (opts.is("rank") ? "lr" : opts.command->name) + "_" + variant;
+  if (!opts.is("rank")) {
+    kernel_name += spec.arch == sim::MachineArch::kSmp ? "_smp" : "_mta";
+  }
+  if (opts.has("branch-avoiding")) kernel_name += "_ba";
+  const sweep::KernelInfo& kernel = sweep::find_kernel(kernel_name);
+
   // Built before the sessions so it outlives them: their destructors detach.
   std::unique_ptr<sim::Machine> m = sim::make_machine(spec);
-  obs::TraceSession session("bfs/tree/" + arch);
+  obs::TraceSession session(opts.command->name + "/" + variant + "/" + arch);
   obs::TraceSession::Install install(session);
   Profiling prof = Profiling::from_options(opts);
   session.attach(*m, arch);
   prof.attach(*m, arch);
   Timer host_timer;
-  const core::SimBfsResult result = spec.arch == sim::MachineArch::kSmp
-                                        ? core::sim_bfs_tree_smp(*m, g)
-                                        : core::sim_bfs_tree_mta(*m, g);
+  // Throws on a failed self-check; adds the answer counters read below.
+  const sweep::KernelRun run = kernel.run(*m, input, /*verify=*/true);
   const double host_seconds = host_timer.seconds();
-  // Levels are exact BFS distances on every schedule; parents are
-  // race-resolved, so they are validated structurally instead of compared.
-  AG_CHECK(graph::validate::is_bfs_forest(g, result.parent, result.level),
-           "self-check failed (not a BFS forest)");
-  AG_CHECK(result.level ==
-               core::bfs_tree_seq(graph::CsrGraph::from_edges(g)).level,
-           "self-check failed (levels != sequential BFS)");
   finish_simulated(session, *m, prof, opts, host_seconds);
-  if (!json) {
-    const std::vector<i64>& level = result.level;
-    const i64 depth =
-        level.empty() ? 0 : *std::max_element(level.begin(), level.end());
-    std::cout << "components:    " << result.components
-              << " (verified BFS forest, exact levels)\n"
-              << "max depth:     " << depth << '\n'
-              << "rounds:        " << result.rounds << '\n';
-  }
-  return 0;
-}
-
-int run_rank(const Options& opts) {
-  const i64 n = opts.get_int("n", 1 << 20);
-  const std::string layout = opts.get("layout", "random");
-  const graph::LinkedList list =
-      layout == "ordered"
-          ? graph::ordered_list(n)
-          : graph::random_list(n, static_cast<u64>(opts.get_int("seed", 1)));
-  const std::string algorithm = opts.get("algorithm", "hj");
-  const std::string machine = opts.get("machine", "mta");
-  const auto procs = static_cast<u32>(opts.get_positive_int("procs", 4));
-  const bool json = opts.has("json");
-  if (!json) {
-    std::cout << "list ranking: n=" << n << " layout=" << layout
-              << " algorithm=" << algorithm << " machine=" << machine
-              << " p=" << procs << '\n';
-  }
-
-  auto run_on = [&](sim::Machine& m) {
-    if (algorithm == "walk") return core::sim_rank_list_walk(m, list);
-    if (algorithm == "hj") return core::sim_rank_list_hj(m, list);
-    if (algorithm == "wyllie") return core::sim_rank_list_wyllie(m, list);
-    if (algorithm == "seq") return core::sim_rank_list_sequential(m, list);
-    AG_CHECK(false, "unknown simulated --algorithm " + algorithm);
-    return std::vector<i64>{};
-  };
-  const sim::MachineSpec spec = parse_machine_opt(machine, procs);
-  const std::string arch = sim::arch_name(spec.arch);
-  // Built before the sessions so it outlives them: their destructors detach.
-  std::unique_ptr<sim::Machine> m = sim::make_machine(spec);
-  obs::TraceSession session("rank/" + algorithm + "/" + arch);
-  obs::TraceSession::Install install(session);
-  Profiling prof = Profiling::from_options(opts);
-  session.attach(*m, arch);
-  prof.attach(*m, arch);
-  Timer host_timer;
-  const std::vector<i64> ranks = run_on(*m);
-  const double host_seconds = host_timer.seconds();
-  AG_CHECK(ranks == core::rank_sequential(list), "self-check failed");
-  finish_simulated(session, *m, prof, opts, host_seconds);
-  if (!json) {
+  if (json) return 0;
+  if (opts.is("rank")) {
     std::cout << "verified against the sequential ranking\n";
+  } else if (opts.is("cc")) {
+    std::cout << "components:    " << counter_value(session, "cc.components")
+              << " (verified against union-find)\n";
+  } else if (opts.is("color")) {
+    std::cout << "colors:        " << counter_value(session, "color.palette")
+              << " (verified proper, == sequential greedy)\n"
+              << "rounds:        " << run.iterations << '\n';
+  } else {
+    std::cout << "components:    " << counter_value(session, "bfs.components")
+              << " (verified BFS forest, exact levels)\n"
+              << "max depth:     " << counter_value(session, "bfs.depth")
+              << '\n'
+              << "rounds:        " << run.iterations << '\n';
   }
   return 0;
 }
@@ -486,12 +455,6 @@ int run_list() {
 }
 
 int run_gen(const Options& opts) {
-  // gen simulates nothing, so there are no machine counters to report.
-  AG_CHECK(!opts.has("json") && !opts.has("trace") && !opts.has("profile") &&
-               !opts.has("profile-trace") && !opts.has("profile-interval") &&
-               !opts.has("metrics-out"),
-           "--trace/--json/--profile/--metrics-out flags apply to simulated "
-           "runs, not gen");
   const graph::EdgeList g = load_graph(opts);
   const std::string output = opts.get("output", "");
   AG_CHECK(!output.empty(), "gen needs --output FILE");
@@ -506,16 +469,11 @@ int run_gen(const Options& opts) {
 int main(int argc, char** argv) {
   try {
     const Options opts = parse(argc, argv);
-    if (opts.command == "cc") return run_cc(opts);
-    if (opts.command == "rank") return run_rank(opts);
-    if (opts.command == "color") return run_color(opts);
-    if (opts.command == "bfs") return run_bfs(opts);
-    if (opts.command == "gen") return run_gen(opts);
-    if (opts.command == "--list" || opts.command == "list") return run_list();
-    AG_CHECK(false, "unknown command '" + opts.command + "'");
+    if (opts.command->simulated) return run_simulated(opts);
+    if (opts.is("gen")) return run_gen(opts);
+    return run_list();
   } catch (const std::exception& e) {
     std::cerr << "archgraph_cli: " << e.what() << '\n';
     return 1;
   }
-  return 0;
 }

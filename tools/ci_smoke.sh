@@ -156,7 +156,7 @@ assert doc["machine"]["concurrency"] == 64, doc["machine"]
 print("ok: mta override applied")
 '
 "$BUILD_DIR"/tools/archgraph_cli cc --machine smp:procs=2,l2_kb=512 \
-    --n 2048 --json \
+    --random 2048,8192,1 --json \
     | python3 -c '
 import json, sys
 doc = json.load(sys.stdin)
@@ -165,7 +165,7 @@ assert doc["machine"]["processors"] == 2, doc["machine"]
 print("ok: smp override applied")
 '
 "$BUILD_DIR"/tools/archgraph_cli cc --machine gpu:procs=2,warp_width=8 \
-    --n 2048 --json \
+    --random 2048,8192,1 --json \
     | python3 -c '
 import json, sys
 doc = json.load(sys.stdin)
@@ -174,33 +174,38 @@ assert doc["machine"]["processors"] == 2, doc["machine"]
 print("ok: gpu override applied")
 '
 
-echo "== cli --machine (malformed spec must fail) =="
-if "$BUILD_DIR"/tools/archgraph_cli rank --machine mta:bogus=1 \
-    --n 1024 --algorithm walk >/dev/null 2>&1; then
-  echo "error: malformed machine spec did not fail" >&2
-  exit 1
-fi
-if "$BUILD_DIR"/tools/archgraph_cli cc --machine gpu:warp_width=0 \
-    --n 1024 >/dev/null 2>&1; then
-  echo "error: gpu:warp_width=0 did not fail" >&2
-  exit 1
-fi
-if "$BUILD_DIR"/tools/archgraph_cli cc --machine gpu:wavefront=64 \
-    --n 1024 >/dev/null 2>&1; then
-  echo "error: unknown gpu spec key did not fail" >&2
-  exit 1
-fi
-if "$BUILD_DIR"/tools/archgraph_cli cc --machine native \
-    --random 1024,4096,1 >/dev/null 2>&1; then
-  echo "error: --machine native did not fail" >&2
-  exit 1
-fi
-if "$BUILD_DIR"/tools/archgraph_cli msf --random 1024,4096,1 \
-    >/dev/null 2>&1; then
-  echo "error: the removed msf subcommand did not fail" >&2
-  exit 1
-fi
-echo "ok: malformed specs rejected (mta unknown key, gpu zero width, gpu unknown key, native, msf)"
+echo "== cli rejections (each must fail naming its own cause) =="
+# A rejected run must exit non-zero AND name its cause on stderr, so a step
+# cannot pass because some other flag or value was refused instead.
+expect_cli_error() {  # expect_cli_error PATTERN ARG...
+  local pattern=$1
+  shift
+  if "$BUILD_DIR"/tools/archgraph_cli "$@" >/dev/null \
+      2>"$OUT_DIR/cli_err.txt"; then
+    echo "error: archgraph_cli $* did not fail" >&2
+    exit 1
+  fi
+  grep -qF -- "$pattern" "$OUT_DIR/cli_err.txt" || {
+    echo "error: archgraph_cli $* failed without '$pattern':" >&2
+    cat "$OUT_DIR/cli_err.txt" >&2
+    exit 1
+  }
+}
+expect_cli_error "unknown mta machine spec key 'bogus'" \
+    rank --machine mta:bogus=1 --n 1024 --algorithm walk
+expect_cli_error "warp_width must be >= 1" \
+    cc --machine gpu:warp_width=0 --random 1024,4096,1
+expect_cli_error "unknown gpu machine spec key 'wavefront'" \
+    cc --machine gpu:wavefront=64 --random 1024,4096,1
+expect_cli_error "unknown machine preset 'native'" \
+    cc --machine native --random 1024,4096,1
+expect_cli_error "unknown command 'msf'" msf --random 1024,4096,1
+expect_cli_error "unknown flag '--n' for cc" \
+    cc --machine mta --n 2048 --bogus 1
+expect_cli_error "unknown flag '--bogus' for cc" \
+    cc --machine mta --random 2048,8192,1 --bogus 1
+echo "ok: rejected for their own cause (mta unknown key, gpu zero width," \
+    "gpu unknown key, native, msf, cc --n, cc --bogus)"
 
 echo "== sweep determinism (--jobs must not change the output) =="
 "$BUILD_DIR"/tools/archgraph_sweep --list >/dev/null
@@ -379,7 +384,7 @@ print(f"ok: killed after {len(cut)} of {len(full)} records; every line whole "
 EOF
 
 echo "== cli host metrics (--json splice and --metrics-out file) =="
-"$BUILD_DIR"/tools/archgraph_cli cc --machine mta --n 2048 --json \
+"$BUILD_DIR"/tools/archgraph_cli cc --machine mta --random 2048,8192,1 --json \
     --metrics-out "$OUT_DIR/cli_metrics.txt" \
     | python3 -c '
 import json, sys
