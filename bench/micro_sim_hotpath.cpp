@@ -11,15 +11,16 @@
 // two runs with tools/bench_diff). Event-queue and machine records also
 // carry heap_pushes, the events that took the queue's overflow heap; machine
 // records carry events (every event the machine handled) and fused (those it
-// handled inline instead of a push/pop round trip), so events/ops is events
+// kept outside the queue: the SMP's dispatch slots), so events/ops is events
 // per simulated instruction. They also carry threads (simulated threads
 // spawned) and frames (coroutine frames the host allocated for them); a
 // kernel runs one frame per thread, so frames == threads.
 //
-// The fig2_p1 / fig2_p8 pairs run one cc_sv_mta cell (same graph, same
-// per-edge and per-vertex work) at 1 and at 8 processors, i.e. 8x the
-// resident lanes or streams. Their ns/instr ratio is the width cost that
-// ROADMAP item 6 asks to remove.
+// The fig2_p1 / fig2_p8 pairs run one Shiloach-Vishkin CC cell (same graph,
+// same per-edge and per-vertex work) at 1 and at 8 processors: cc_sv_mta on
+// the MTA and the GPU (8x the resident streams or lanes), cc_sv_smp on the
+// default SMP (8x the processors, each with its own L1 and L2 tags). Their
+// ns/instr ratio is each machine's host width cost.
 #include <algorithm>
 #include <iostream>
 #include <string>
@@ -299,18 +300,19 @@ int main() {
   results.push_back(bench_machine_cell("gpu/fig2", "cc_sv_mta", "gpu:procs=4",
                                        layout, cc_n, 8 * cc_n, cell_reps));
 
-  // Width pairs: one cc_sv_mta cell at the densest fig2 shape (m = 20n, so
+  // Width pairs: one CC cell at the densest fig2 shape (m = 20n, so
   // the graft phase has enough 64-edge chunks to fill 8 processors' lanes)
   // at procs=1 and procs=8. The per-edge and per-vertex work is identical;
   // only the number of workers, and so of claims, grows with width.
   const i64 width_n = cell_n / 2;
   const u64 width_reps = std::max<u64>(cell_reps / 4, 1);
-  for (const char* arch : {"mta", "gpu"}) {
+  for (const std::string arch : {"mta", "gpu", "smp"}) {
+    const char* kernel = arch == "smp" ? "cc_sv_smp" : "cc_sv_mta";
     for (const int procs : {1, 8}) {
       results.push_back(bench_machine_cell(
-          std::string{arch} + "/fig2_p" + std::to_string(procs), "cc_sv_mta",
-          std::string{arch} + ":procs=" + std::to_string(procs), layout,
-          width_n, 20 * width_n, width_reps));
+          arch + "/fig2_p" + std::to_string(procs), kernel,
+          arch + ":procs=" + std::to_string(procs), layout, width_n,
+          20 * width_n, width_reps));
     }
   }
 

@@ -37,12 +37,15 @@
 // pop() compares the three level fronts by (time, seq), so the levels
 // interleave exactly like one totally ordered queue.
 //
-// Fused push+pop: a handler that would push one event and then see it pop
-// straight back (nothing else pending at or before its time) can ask
-// take_if_next() instead. A true answer advances the queue exactly as that
-// pop would and stores nothing, so the caller handles the event inline. A
-// fused event consumes no seq; pop order depends only on the relative order
-// of seqs, which skipping one leaves unchanged.
+// External events: a machine may keep some events outside the queue (the
+// SMP keeps each processor's one pending dispatch in a slot of its own) and
+// still order them against queued ones. It stamps such an event with
+// draw_seq() where it would have pushed it, so the event sorts among queued
+// events exactly as that push would have, and handles it once no queued
+// event precedes its (time, seq) (pending_before()). take_external() then
+// moves the queue's clock as popping it would have. Pop order depends only
+// on the relative order of (time, seq) keys, which drawing instead of
+// pushing leaves unchanged.
 //
 // Region epochs: every Machine::run_region() restarts simulated time at 0,
 // and the FIFO/bucket tests are relative to now_ and win_base_. Each
@@ -101,9 +104,10 @@ class EventQueue {
   /// cumulative over the queue's lifetime. Read-only diagnostics: nothing
   /// simulated depends on it.
   u64 heap_pushes() const { return heap_pushes_; }
-  /// Events pushed (the seq counter) and events taken inline by
-  /// take_if_next(), cumulative over the queue's lifetime. Diagnostics too.
-  u64 pushes() const { return next_seq_; }
+  /// Events pushed, and external events handled (take_external()),
+  /// cumulative over the queue's lifetime. Diagnostics too; a drawn seq is
+  /// not a push.
+  u64 pushes() const { return next_seq_ - drawn_; }
   u64 fused() const { return fused_; }
 
   void push(Cycle time, u32 kind, u64 payload) {
@@ -137,25 +141,36 @@ class EventQueue {
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
 
-  /// True iff an event pushed now at `time` would be the very next pop:
-  /// every pending event is strictly later (a new push gets the largest seq,
-  /// so a same-time event already queued would pop first). Then now_ and
-  /// win_base_ move exactly as that pop would move them, nothing is stored,
-  /// and the caller handles the event itself. False leaves the queue as it
-  /// was; the caller pushes the event instead.
-  bool take_if_next(Cycle time) {
-    if (fifo_head_ != fifo_.size() && fifo_[fifo_head_].time <= time) {
-      return false;
+  /// Insertion seq for an event the caller keeps outside the queue: larger
+  /// than every seq drawn or pushed before, smaller than every later one.
+  u64 draw_seq() {
+    ++drawn_;
+    return next_seq_++;
+  }
+
+  /// True iff some queued event precedes (time, seq), i.e. would pop before
+  /// an event with that key.
+  bool pending_before(Cycle time, u64 seq) const {
+    const Event key{time, seq, 0, 0};
+    if (fifo_head_ != fifo_.size() && earlier(fifo_[fifo_head_], key)) {
+      return true;
     }
-    if (bucket_count_ != 0 && pool_[slot_head_[front_slot()]].e.time <= time) {
-      return false;
+    if (bucket_count_ != 0 &&
+        earlier(pool_[slot_head_[front_slot()]].e, key)) {
+      return true;
     }
-    if (!heap_.empty() && heap_[0].time <= time) {
-      return false;
-    }
+    return !heap_.empty() && earlier(heap_[0], key);
+  }
+
+  /// The caller handles its external event (time, seq), which no queued
+  /// event precedes: now_ and win_base_ move exactly as popping it would
+  /// move them, and fused() counts it.
+  void take_external(Cycle time, u64 seq) {
+    AG_DCHECK(!pending_before(time, seq),
+              "take_external() would overtake a queued event");
+    (void)seq;
     ++fused_;
     advance_to(time);
-    return true;
   }
 
   bool empty() const {
@@ -300,6 +315,7 @@ class EventQueue {
   Cycle now_ = 0;       // time of the most recently popped event
   Cycle win_base_ = 0;  // running max of popped times (window anchor)
   u64 next_seq_ = 0;
+  u64 drawn_ = 0;  // seqs handed out by draw_seq(), not pushes
   u64 heap_pushes_ = 0;
   u64 fused_ = 0;
 };

@@ -146,10 +146,10 @@ class Machine {
   /// Host-side diagnostic: pushes that took the event queue's overflow heap
   /// so far (EventQueue::heap_pushes). Not simulated state; never serialized.
   u64 event_heap_pushes() const { return events_.heap_pushes(); }
-  /// Host-side diagnostics: events pushed so far, and events a machine took
-  /// inline because they would have popped next (EventQueue::take_if_next;
-  /// only the SMP's dispatch chain does). Their sum is every event handled.
-  /// Not simulated state; never serialized.
+  /// Host-side diagnostics: events pushed so far, and events a machine kept
+  /// outside the queue and handled in (time, seq) order with it
+  /// (EventQueue::take_external; only the SMP's dispatch slots do). Their sum
+  /// is every event handled. Not simulated state; never serialized.
   u64 events_pushed() const { return events_.pushes(); }
   u64 events_fused() const { return events_.fused(); }
 
@@ -256,8 +256,10 @@ class Machine {
   /// admits threads_ at the fork time. The shared region state (ledgers,
   /// waiters, barrier episode, event queue) is already reset.
   virtual void open_region() = 0;
-  /// Runs the event queue dry. Every machine implements it as
-  /// run_events_for(*this) over its own `handle<Profiled>(const Event&)`.
+  /// Runs the region's events dry. The MTA and GPU implement it as
+  /// run_events_for(*this) over their own `handle<Profiled>(const Event&)`;
+  /// the SMP runs its own loop, merging per-processor dispatch slots with
+  /// the queue's wakes in (time, seq) order.
   virtual void run_events() = 0;
   /// Resumes a released barrier episode: the threads in release_buf_, in
   /// arrival order. The default (MTA, GPU) marks them in flight and pushes

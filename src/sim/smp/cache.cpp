@@ -1,8 +1,7 @@
 #include "sim/smp/cache.hpp"
 
+#include <algorithm>
 #include <bit>
-
-#include "common/check.hpp"
 
 namespace archgraph::sim {
 
@@ -17,54 +16,68 @@ Cache::Cache(u64 size_bytes, u64 line_bytes, u32 ways)
   sets_ = size_bytes / (line_bytes * ways);
   AG_CHECK(sets_ >= 1, "cache too small for its associativity");
   set_mask_ = (sets_ & (sets_ - 1)) == 0 ? sets_ - 1 : 0;
-  slots_.assign(static_cast<usize>(sets_) * ways_, Way{});
+  if (ways_ == 1) {
+    tags_.resize(static_cast<usize>(sets_));
+  } else {
+    ways_arr_.resize(static_cast<usize>(sets_) * ways_);
+  }
+  clear();
 }
 
-Cache::AccessResult Cache::install(Way* set, u64 line, bool write) {
-  // Miss: victim is the first invalid way, else the LRU-oldest (ties resolve
-  // to the lowest index, matching the original single-pass selection).
+Cache::AccessResult Cache::install(Way* set, u32 fresh) {
+  // Miss: victim is the first invalid way, else the least recently used
+  // (the highest rank; ranks are distinct, so there is no tie to break).
   u32 victim = 0;
   for (u32 i = 0; i < ways_; ++i) {
-    if (set[i].line == kInvalid) {
+    if (set[i].tag == 0) {
       victim = i;
       break;
     }
-    if (set[i].lru < set[victim].lru) {
+    if (set[i].rank > set[victim].rank) {
       victim = i;
     }
   }
-  AccessResult result;
-  if (set[victim].line != kInvalid) {
-    result.evicted = true;
-    result.evicted_line = set[victim].line;
-    result.evicted_dirty = set[victim].dirty;
-  }
-  set[victim] = Way{.line = line, .lru = tick_, .dirty = write};
+  const AccessResult result = replace(set[victim].tag, fresh);
+  touch(set, victim);
   return result;
 }
 
-bool Cache::contains(u64 line) const {
-  const Way* const set = &slots_[set_base(line)];
+const u32* Cache::find(u64 line) const {
+  const u32 key = tag_key(line);
+  if (ways_ == 1) {
+    const u32& tag = tags_[set_of(line)];
+    return (tag & kKeyMask) == key ? &tag : nullptr;
+  }
+  const Way* const set = &ways_arr_[set_of(line) * ways_];
   for (u32 i = 0; i < ways_; ++i) {
-    if (set[i].line == line) {
-      return true;
+    if ((set[i].tag & kKeyMask) == key) {
+      return &set[i].tag;
     }
   }
-  return false;
+  return nullptr;
 }
+
+bool Cache::contains(u64 line) const { return find(line) != nullptr; }
 
 bool Cache::invalidate(u64 line) {
-  Way* const set = &slots_[set_base(line)];
-  for (u32 i = 0; i < ways_; ++i) {
-    if (set[i].line == line) {
-      const bool dirty = set[i].dirty;
-      set[i] = Way{};
-      return dirty;
-    }
+  u32* const tag = const_cast<u32*>(find(line));
+  if (tag == nullptr) {
+    return false;
   }
-  return false;
+  // The way keeps its rank: ranks stay a permutation, and an invalid way is
+  // refilled before any rank is consulted.
+  const bool dirty = (*tag >> kDirtyShift) != 0;
+  *tag = 0;
+  return dirty;
 }
 
-void Cache::clear() { slots_.assign(slots_.size(), Way{}); }
+void Cache::clear() {
+  std::fill(tags_.begin(), tags_.end(), 0u);
+  for (usize base = 0; base < ways_arr_.size(); base += ways_) {
+    for (u32 i = 0; i < ways_; ++i) {
+      ways_arr_[base + i] = Way{.tag = 0, .rank = i};
+    }
+  }
+}
 
 }  // namespace archgraph::sim

@@ -81,6 +81,8 @@ SmpMachine::SmpMachine(SmpConfig config)
         Cache(config_.l1_bytes, config_.line_bytes, config_.l1_ways),
         Cache(config_.l2_bytes, config_.line_bytes, config_.l2_ways));
   }
+  slots_.assign(std::max<usize>(2, (config_.processors + 1) & ~1u),
+                kEmptySlot);
 }
 
 void SmpMachine::open_region() {
@@ -91,6 +93,10 @@ void SmpMachine::open_region() {
   const u64 lines = (static_cast<u64>(memory_.size_words()) * kWordBytes +
                      config_.line_bytes - 1) /
                     config_.line_bytes;
+  AG_CHECK(lines <= Cache::kMaxLines,
+           "SMP cache tags hold line indices below " +
+               std::to_string(Cache::kMaxLines) + "; simulated memory spans " +
+               std::to_string(lines) + " lines");
   if (directory_.size() < lines) {
     directory_.resize(lines, 0);
   }
@@ -111,11 +117,11 @@ void SmpMachine::open_region() {
   for (auto& proc : procs_) {
     proc.running = kNone;
     proc.last_ran = kNone;
-    proc.dispatch_scheduled = false;
     proc.oversubscribed = false;
     proc.clock = 0;
     proc.quantum_used = 0;
   }
+  std::fill(slots_.begin(), slots_.end(), kEmptySlot);
   bus_free_ = 0;
 
   std::vector<u32> assigned(config_.processors, 0);
@@ -135,31 +141,40 @@ void SmpMachine::open_region() {
   }
 }
 
-void SmpMachine::run_events() { run_events_for(*this); }
+void SmpMachine::run_events() {
+  if (prof_hook_ != nullptr) {
+    run_slots<true>();
+  } else {
+    run_slots<false>();
+  }
+}
 
 template <bool Profiled>
-void SmpMachine::handle(const Event& e) {
-  switch (static_cast<EventKind>(e.kind)) {
-    case kDispatch: {
-      // Fused dispatch: while the processor's next dispatch would be the
-      // queue's very next pop, run it here instead of a push/pop round trip.
-      // Only an event that pops next is taken, so the order is unchanged.
-      const u32 proc_id = static_cast<u32>(e.payload);
-      Cycle next = handle_dispatch(proc_id, e.time);
-      while (next >= 0 && events_.take_if_next(next)) {
-        if constexpr (Profiled) {
-          prof_hook_->on_advance(*this, next);
-        }
-        next = handle_dispatch(proc_id, next);
+void SmpMachine::run_slots() {
+  for (;;) {
+    const SlotKey next = earliest_slot();
+    const Cycle time = slot_time(next);
+    const u64 seq = slot_seq(next);
+    if (events_.pending_before(time, seq)) {
+      const Event e = events_.pop();  // a kWake, the only queued kind
+      if constexpr (Profiled) {
+        prof_hook_->on_advance(*this, e.time);
       }
-      if (next >= 0) {
-        events_.push(next, kDispatch, proc_id);
-      }
-      break;
-    }
-    case kWake:
       enqueue_ready(static_cast<u32>(e.payload), e.time);
-      break;
+      continue;
+    }
+    if (next == kEmptySlot) {
+      return;  // every slot is empty and nothing is queued
+    }
+    events_.take_external(time, seq);
+    if constexpr (Profiled) {
+      prof_hook_->on_advance(*this, time);
+    }
+    const u32 p = slot_proc(next);
+    const Cycle at = handle_dispatch(p, time);
+    // Drawn after any wakes the op queued, so at an equal time they come
+    // first (DESIGN.md §Event scheduling, *Dispatch slots*).
+    slots_[p] = at >= 0 ? slot_key(at, events_.draw_seq(), p) : kEmptySlot;
   }
 }
 
@@ -178,9 +193,10 @@ void SmpMachine::enqueue_ready(u32 tid, Cycle now) {
   set_status(tid, ThreadState::Status::kRunnable);
   Processor& proc = procs_[ts->processor];
   proc.ready_fifo.push(tid);
-  if (!proc.dispatch_scheduled) {
-    proc.dispatch_scheduled = true;
-    events_.push(std::max(now, proc.clock), kDispatch, ts->processor);
+  SlotKey& slot = slots_[ts->processor];
+  if (slot == kEmptySlot) {
+    slot = slot_key(std::max(now, proc.clock), events_.draw_seq(),
+                    ts->processor);
   }
 }
 
@@ -188,7 +204,6 @@ Cycle SmpMachine::handle_dispatch(u32 proc_id, Cycle now) {
   Processor& proc = procs_[proc_id];
   if (proc.running == kNone) {
     if (proc.ready_fifo.empty()) {
-      proc.dispatch_scheduled = false;
       return -1;
     }
     proc.running = proc.ready_fifo.pop();
@@ -215,11 +230,7 @@ Cycle SmpMachine::handle_dispatch(u32 proc_id, Cycle now) {
     // Thread blocked (sync wait or barrier). execute_op advanced proc.clock
     // past the failed probe; the processor moves on.
     proc.running = kNone;
-    if (!proc.ready_fifo.empty()) {
-      return proc.clock;
-    }
-    proc.dispatch_scheduled = false;
-    return -1;
+    return proc.ready_fifo.empty() ? -1 : proc.clock;
   }
 
   proc.clock = completion;
@@ -229,11 +240,7 @@ Cycle SmpMachine::handle_dispatch(u32 proc_id, Cycle now) {
   if (ts->pending.kind == OpKind::kDone) {
     on_finish(tid, completion);
     proc.running = kNone;
-    if (!proc.ready_fifo.empty()) {
-      return completion;
-    }
-    proc.dispatch_scheduled = false;
-    return -1;
+    return proc.ready_fifo.empty() ? -1 : completion;
   }
 
   if (proc.quantum_used >= config_.quantum && !proc.ready_fifo.empty()) {

@@ -20,6 +20,8 @@
 //     grows with p; full/empty emulation spins on locked bus RMWs.
 #pragma once
 
+#include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "sim/machine.hpp"
@@ -97,8 +99,7 @@ class SmpMachine final : public Machine {
   void sample_prof_gauges(i64* out) const override;
 
  private:
-  friend class Machine;  // runs handle<Profiled>() from its event loop
-  enum EventKind : u32 { kDispatch, kWake };
+  enum EventKind : u32 { kWake };
   static constexpr u32 kNone = ~u32{0};
 
   struct Processor {
@@ -110,12 +111,37 @@ class SmpMachine final : public Machine {
     RingView ready_fifo;  // window of SmpMachine::ring_arena_
     u32 running = kNone;
     u32 last_ran = kNone;
-    bool dispatch_scheduled = false;
     bool oversubscribed = false;
     Cycle clock = 0;
     Cycle quantum_used = 0;
     Cycle barrier_wait = 0;  // cycles parked at barriers (profiling gauge)
   };
+
+  /// A processor's pending dispatch, ordered against the event queue by
+  /// (time, seq); the seq comes from EventQueue::draw_seq(). An in-order
+  /// processor has at most one, so it lives here instead of in the queue,
+  /// packed into one 128-bit key: time in the high 64 bits, then seq, then
+  /// the processor in the low kProcBits. Seqs are unique, so the processor
+  /// bits never decide an order; they name the winner of earliest_slot().
+  using SlotKey = unsigned __int128;
+  static constexpr u32 kProcBits = 5;  // processors <= 32
+  static SlotKey slot_key(Cycle time, u64 seq, u32 proc) {
+    AG_DCHECK(time >= 0 && seq < (u64{1} << (64 - kProcBits)),
+              "dispatch slot key out of range");
+    return (static_cast<SlotKey>(time) << 64) | (seq << kProcBits) | proc;
+  }
+  static Cycle slot_time(SlotKey key) { return static_cast<Cycle>(key >> 64); }
+  static u64 slot_seq(SlotKey key) {
+    return static_cast<u64>(key) >> kProcBits;
+  }
+  static u32 slot_proc(SlotKey key) {
+    return static_cast<u32>(key) & ((u32{1} << kProcBits) - 1);
+  }
+  /// An empty slot sorts after every real key and decodes to a (time, seq)
+  /// that every queued event precedes.
+  static constexpr SlotKey kEmptySlot =
+      (static_cast<SlotKey>(std::numeric_limits<Cycle>::max()) << 64) |
+      ~u64{0};
 
   /// Stall decomposition of one data access. data_access_cost() fills it so
   /// the fields sum to at most the returned cost; the remainder (cost minus
@@ -128,15 +154,34 @@ class SmpMachine final : public Machine {
   };
 
   void open_region() override;
+  /// The SMP's event loop: handles, in (time, seq) order, whichever comes
+  /// first of the earliest dispatch slot and the queue head. The queue holds
+  /// only wakes (full/empty and barrier resumes).
   void run_events() override;
   template <bool Profiled>
-  void handle(const Event& e);
+  void run_slots();
+  /// The smallest slot key. Branch-free: std::min on the 128-bit key
+  /// compiles to cmp/sbb/cmov, and two running minima over the even-padded
+  /// array halve the dependency chain. Which processor wins changes from
+  /// one dispatch to the next, so a branch here would mispredict at every
+  /// width.
+  SlotKey earliest_slot() const {
+    const SlotKey* const key = slots_.data();
+    SlotKey a = key[0];
+    SlotKey b = key[1];
+    for (usize i = 2; i < slots_.size(); i += 2) {
+      a = std::min(a, key[i]);
+      b = std::min(b, key[i + 1]);
+    }
+    return std::min(a, b);
+  }
+
   /// The software barrier resumes inline: each released thread steps past
   /// the barrier at once, and its next op runs at dispatch.
   void resume_barrier(Cycle release) override;
   /// Runs one op (or a context switch into it) on the processor; returns
   /// the time of its next dispatch, or -1 when it has nothing to run until
-  /// a wake. The caller schedules that dispatch.
+  /// a wake. The caller fills or empties the processor's slot accordingly.
   Cycle handle_dispatch(u32 proc_id, Cycle now);
   void enqueue_ready(u32 tid, Cycle now);
   /// Executes the thread's pending op starting at `start`; returns its
@@ -158,6 +203,9 @@ class SmpMachine final : public Machine {
 
   // Region-scoped state.
   std::vector<Processor> procs_;
+  /// One dispatch slot per processor, padded with empty slots to an even
+  /// count of at least two for earliest_slot().
+  std::vector<SlotKey> slots_;
   std::vector<u32> ring_arena_;  // backs every processor's ready ring
   // Coherence directory: one sharer bitmask per line of simulated memory,
   // indexed by line number (0 = no sharer). Sized at each region start and

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -68,11 +70,13 @@ class ReferenceQueue {
     events_.push_back(Event{time, seq_++, kind, payload});
   }
   bool empty() const { return events_.empty(); }
-  /// Whether push(time) followed by pop() would return the pushed event:
-  /// it takes the largest seq, so every pending event must be later.
-  bool pops_next(Cycle time) const {
-    return std::all_of(events_.begin(), events_.end(),
-                       [time](const Event& e) { return e.time > time; });
+  /// A seq for an event kept outside the queue, from the same counter.
+  u64 draw_seq() { return seq_++; }
+  /// Whether some pending event sorts before (time, seq).
+  bool pending_before(Cycle time, u64 seq) const {
+    return std::any_of(events_.begin(), events_.end(), [&](const Event& e) {
+      return e.time != time ? e.time < time : e.seq < seq;
+    });
   }
   Event pop() {
     auto it = std::min_element(events_.begin(), events_.end(),
@@ -243,24 +247,37 @@ TEST(EventQueue, DifferentialAcrossBucketWindowBoundary) {
   EXPECT_TRUE(ref.empty());
 }
 
-TEST(EventQueue, TakeIfNextDifferentialAgainstReferenceModel) {
-  // take_if_next(t) is a fused push(t) + pop(): it must answer true exactly
-  // when that pop would return the pushed event, and must leave the queue in
-  // the state that pop would have, so every later pop still matches the
-  // reference. Times cover the same cycle, the near future, both sides of
-  // the bucket window's edge, the deep future and the past; each epoch
-  // drains and restarts at time 0 through start_region(). Short queues make
-  // true answers common, as on an SMP whose processors mostly idle.
+TEST(EventQueue, SlotLoopDifferentialAgainstReferenceModel) {
+  // The SMP's run loop keeps one pending event per processor in a slot,
+  // stamped with draw_seq(), and handles whichever comes first by
+  // (time, seq): the earliest slot or the queue head. Its handled order must
+  // equal one queue holding every event (`all`, the design the slots
+  // replace), and pending_before() must agree with a reference holding the
+  // queued events only (`queued`). Times cover the same cycle, the near
+  // future, both sides of the bucket window's edge, the deep future and the
+  // past; each epoch drains and restarts at time 0 through start_region().
   constexpr Cycle kWin = static_cast<Cycle>(EventQueue::kBuckets);
+  constexpr u32 kSlots = 4;
+  constexpr u32 kSlotKind = 1u << 30;  // kinds >= this name a slot
+  constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
+  struct Slot {
+    Cycle time = 0;
+    u64 seq = 0;
+    bool full = false;
+  };
   Prng rng(0xf05edu);
   EventQueue q;
   u32 next_kind = 1;
   u64 pushes = 0;
-  u64 taken = 0;
-  u64 refused = 0;
+  u64 slot_events = 0;
+  u64 queue_events = 0;
+  // The references outlive the epochs, as the queue does, so their seq
+  // counters stay aligned with its own.
+  ReferenceQueue all;
+  ReferenceQueue queued;
   for (int epoch = 0; epoch < 6; ++epoch) {
     q.start_region();
-    ReferenceQueue ref;
+    std::array<Slot, kSlots> slots{};
     Cycle now = 0;
     auto pick_time = [&]() -> Cycle {
       switch (rng.below(8)) {
@@ -274,72 +291,126 @@ TEST(EventQueue, TakeIfNextDifferentialAgainstReferenceModel) {
         default: return now + rng.below(kWin);
       }
     };
-    for (int step = 0; step < 8000; ++step) {
-      const u64 roll = rng.below(100);
-      if (!q.empty() && roll < 40) {
-        const Event a = q.pop();
-        const Event b = ref.pop();
-        ASSERT_EQ(a.time, b.time) << "epoch " << epoch << " step " << step;
-        ASSERT_EQ(a.kind, b.kind) << "epoch " << epoch << " step " << step;
-        now = a.time;
-      } else if (roll < 70) {
-        const Cycle time = pick_time();
-        const bool expect = ref.pops_next(time);
-        ASSERT_EQ(q.take_if_next(time), expect)
-            << "epoch " << epoch << " step " << step << " time " << time;
-        if (expect) {
-          ++taken;
-          now = time;
-        } else {
-          ++refused;
+    auto any_slot = [&] {
+      return std::any_of(slots.begin(), slots.end(),
+                         [](const Slot& s) { return s.full; });
+    };
+    // One turn of the slot loop; false once nothing is pending anywhere.
+    auto step_loop = [&](const std::string& where) -> bool {
+      u32 best = kSlots;
+      for (u32 p = 0; p < kSlots; ++p) {
+        if (slots[p].full &&
+            (best == kSlots || slots[p].time < slots[best].time ||
+             (slots[p].time == slots[best].time &&
+              slots[p].seq < slots[best].seq))) {
+          best = p;
         }
+      }
+      const Cycle t = best == kSlots ? kNever : slots[best].time;
+      const u64 seq = best == kSlots ? ~u64{0} : slots[best].seq;
+      const bool queue_first = q.pending_before(t, seq);
+      EXPECT_EQ(queue_first, queued.pending_before(t, seq)) << where;
+      if (queue_first) {
+        const Event a = q.pop();
+        const Event b = queued.pop();
+        const Event c = all.pop();
+        EXPECT_EQ(a.time, b.time) << where;
+        EXPECT_EQ(a.kind, b.kind) << where;
+        EXPECT_EQ(a.time, c.time) << where;
+        EXPECT_EQ(a.kind, c.kind) << where;
+        now = a.time;
+        ++queue_events;
+        return true;
+      }
+      if (best == kSlots) {
+        EXPECT_TRUE(q.empty()) << where;
+        return false;
+      }
+      q.take_external(t, seq);
+      const Event c = all.pop();
+      EXPECT_EQ(c.time, t) << where;
+      EXPECT_EQ(c.kind, kSlotKind + best) << where;
+      slots[best].full = false;
+      now = t;
+      ++slot_events;
+      return true;
+    };
+    for (int step = 0; step < 8000; ++step) {
+      const std::string where =
+          "epoch " + std::to_string(epoch) + " step " + std::to_string(step);
+      const u64 roll = rng.below(100);
+      if (roll < 45 && (!q.empty() || any_slot())) {
+        ASSERT_TRUE(step_loop(where));
+      } else if (roll < 70) {
+        const u32 p = static_cast<u32>(rng.below(kSlots));
+        if (!slots[p].full) {
+          const Cycle time = pick_time();
+          const u64 seq = q.draw_seq();
+          ASSERT_EQ(seq, queued.draw_seq()) << where;
+          all.push(time, kSlotKind + p, 0);
+          slots[p] = Slot{time, seq, true};
+        }
+      } else if (roll < 80) {
+        // A probe key between the pending ones: pending_before() is a pure
+        // question and leaves the queue as it was.
+        const Cycle time = pick_time();
+        const u64 seq = rng.below(q.pushes() + slot_events + 8);
+        ASSERT_EQ(q.pending_before(time, seq), queued.pending_before(time, seq))
+            << where << " probe (" << time << ", " << seq << ")";
       } else {
         const Cycle time = pick_time();
         const u32 kind = next_kind++;
         q.push(time, kind, kind);
-        ref.push(time, kind, kind);
+        queued.push(time, kind, kind);
+        all.push(time, kind, kind);
         ++pushes;
       }
-      ASSERT_EQ(q.empty(), ref.empty());
     }
-    while (!q.empty()) {
-      const Event a = q.pop();
-      const Event b = ref.pop();
-      ASSERT_EQ(a.time, b.time) << "epoch " << epoch;
-      ASSERT_EQ(a.kind, b.kind) << "epoch " << epoch;
+    while (step_loop("drain, epoch " + std::to_string(epoch))) {
     }
-    EXPECT_TRUE(ref.empty());
+    ASSERT_TRUE(all.empty());
+    ASSERT_TRUE(queued.empty());
   }
-  EXPECT_GT(taken, 1000u);
-  EXPECT_GT(refused, 1000u);
-  EXPECT_EQ(q.fused(), taken);
-  EXPECT_EQ(q.pushes(), pushes);  // a fused event consumes no seq
+  EXPECT_GT(slot_events, 1000u);
+  EXPECT_GT(queue_events, 1000u);
+  // Every handled event is a push or a slot event; a drawn seq is no push.
+  EXPECT_EQ(q.pushes(), pushes);
+  EXPECT_EQ(q.fused(), slot_events);
+  EXPECT_EQ(q.pushes() + q.fused(), queue_events + slot_events);
 }
 
-TEST(EventQueue, TakeIfNextYieldsToSameTimeEvents) {
-  // A same-time event already queued pops before a new push at that time,
-  // whichever level holds it.
+TEST(EventQueue, DrawnSeqOrdersLikeAPush) {
+  // A drawn seq sorts after every event already pushed at the same time,
+  // whichever level holds it, and before every later push. take_external()
+  // moves the window as a pop would.
   constexpr Cycle kWin = static_cast<Cycle>(EventQueue::kBuckets);
   EventQueue q;
   q.push(0, 1, 0);  // FIFO, at now
-  EXPECT_FALSE(q.take_if_next(0));
+  u64 seq = q.draw_seq();
+  EXPECT_TRUE(q.pending_before(0, seq));
   EXPECT_EQ(q.pop().kind, 1u);
+  EXPECT_FALSE(q.pending_before(0, seq));
+  q.take_external(0, seq);
   q.push(7, 2, 0);  // bucket
-  EXPECT_FALSE(q.take_if_next(7));
-  EXPECT_TRUE(q.take_if_next(6));
+  seq = q.draw_seq();
+  EXPECT_TRUE(q.pending_before(7, seq));
+  EXPECT_FALSE(q.pending_before(6, seq));
+  q.take_external(6, seq);
   EXPECT_EQ(q.pop().kind, 2u);
   q.push(7 + 2 * kWin, 3, 0);  // heap
-  EXPECT_FALSE(q.take_if_next(7 + 2 * kWin));
-  EXPECT_TRUE(q.take_if_next(7 + 2 * kWin - 1));
-  // The window now sits at the taken time, so a push one cycle later is a
-  // same-window bucket push, not a heap push.
+  seq = q.draw_seq();
+  EXPECT_TRUE(q.pending_before(7 + 2 * kWin, seq));
+  EXPECT_FALSE(q.pending_before(7 + 2 * kWin - 1, seq));
+  q.take_external(7 + 2 * kWin - 1, seq);
+  // The window now sits at the external event's time, so a push one cycle
+  // later is a same-window bucket push, not a heap push.
   const u64 heap_before = q.heap_pushes();
   q.push(7 + 2 * kWin, 4, 0);
   EXPECT_EQ(q.heap_pushes(), heap_before);
   EXPECT_EQ(q.pop().kind, 3u);
   EXPECT_EQ(q.pop().kind, 4u);
   EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.fused(), 2u);
+  EXPECT_EQ(q.fused(), 3u);
   EXPECT_EQ(q.pushes(), 4u);
 }
 

@@ -388,12 +388,13 @@ int run_simulated(const Options& opts) {
     banner << " variant="
            << (opts.has("branch-avoiding") ? "branch-avoiding" : "branchy");
   }
+  // The composed spec's count: a procs= inside --machine overrides --procs.
+  const sim::MachineSpec spec = parse_machine_opt(machine, procs);
   if (!json) {
-    std::cout << banner.str() << " machine=" << machine << " p=" << procs
-              << '\n';
+    std::cout << banner.str() << " machine=" << machine
+              << " p=" << spec.processors() << '\n';
   }
 
-  const sim::MachineSpec spec = parse_machine_opt(machine, procs);
   const std::string arch = sim::arch_name(spec.arch);
   // The graph kernels run their SMP-shaped variant on an smp machine and the
   // machine-neutral _mta one elsewhere (full/empty bits work on any

@@ -64,8 +64,9 @@ echo "== simulator hot-path bench (quick scale, JSON schema only) =="
 # well-formed BENCH_host_sim.json that bench_diff can consume. Two gates are
 # deterministic: event_queue/region_restart (a long region, then shorter
 # ones restarting at time 0) must schedule nothing on the overflow heap, and
-# every machine/smp/* series must take some dispatches inline (fused > 0),
-# so a refactor cannot silently turn the SMP's fused dispatch off. A third
+# on every machine/smp/* series at least 90% of the handled events must be
+# dispatch-slot events (fused >= 0.9 x events; the queue keeps only wakes),
+# so a refactor cannot silently route dispatches back through it. A third
 # is structural: every machine/* series allocates at most two coroutine
 # frames per simulated thread (kernels run one frame per thread).
 ARCHGRAPH_BENCH_SCALE=quick ARCHGRAPH_BENCH_JSON="$OUT_DIR" \
@@ -103,10 +104,11 @@ for r in records:
     assert r["threads"] <= r["frames"] <= 2 * r["threads"], \
         f"more than two coroutine frames per simulated thread: {r}"
     if r["benchmark"].startswith("machine/smp/"):
-        assert r["fused"] > 0, f"SMP dispatch fusion never fired: {r}"
+        assert r["fused"] >= 0.9 * r["events"], \
+            f"SMP dispatches went through the event queue: {r}"
 
 print(f"ok: {len(records)} hot-path series, schema complete, "
-      "region restarts stay off the heap, SMP dispatch fuses, "
+      "region restarts stay off the heap, SMP dispatches use slots, "
       "one frame per simulated thread")
 EOF
 "$BUILD_DIR"/tools/bench_diff "$OUT_DIR/BENCH_host_sim.json" \
