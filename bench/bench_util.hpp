@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/parse.hpp"
 #include "common/table.hpp"
 #include "common/types.hpp"
@@ -45,14 +46,17 @@ inline std::string scaled_smp_spec(u32 procs, u64 l2_kb = 512) {
 
 /// Problem-size scale: benches honor ARCHGRAPH_BENCH_SCALE=quick|default|full
 /// so CI smoke runs stay fast while full reproductions use bigger inputs.
+/// Unset or empty means default; any other value throws, so a typo cannot
+/// silently run the default grid.
 enum class Scale { kQuick, kDefault, kFull };
 
 inline Scale scale_from_env() {
   const char* env = std::getenv("ARCHGRAPH_BENCH_SCALE");
-  if (env == nullptr) return Scale::kDefault;
-  const std::string s{env};
+  const std::string s = env == nullptr ? "" : env;
   if (s == "quick") return Scale::kQuick;
   if (s == "full") return Scale::kFull;
+  AG_CHECK(s.empty() || s == "default",
+           "ARCHGRAPH_BENCH_SCALE wants quick|default|full, got '" + s + "'");
   return Scale::kDefault;
 }
 

@@ -9,7 +9,7 @@
 //   p edge <num_vertices> <num_edges>
 //   e <u> <v>            (1-based vertex ids)
 //
-// An optional extension carries weights ("e u v w"), used by the MSF codes.
+// An optional extension carries weights ("e u v w"), one per edge line.
 #pragma once
 
 #include <iosfwd>

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "common/table.hpp"
@@ -68,6 +69,29 @@ TEST(ScaleFromEnv, ParsesTheThreeScales) {
   {
     ScopedEnv env("ARCHGRAPH_BENCH_SCALE", "full");
     EXPECT_EQ(scale_from_env(), Scale::kFull);
+  }
+  {
+    ScopedEnv env("ARCHGRAPH_BENCH_SCALE", "default");
+    EXPECT_EQ(scale_from_env(), Scale::kDefault);
+  }
+  {
+    ScopedEnv env("ARCHGRAPH_BENCH_SCALE", "");
+    EXPECT_EQ(scale_from_env(), Scale::kDefault);
+  }
+}
+
+TEST(ScaleFromEnv, RejectsUnknownScale) {
+  for (const char* bad : {"qiuck", "Quick", "full ", "1"}) {
+    ScopedEnv env("ARCHGRAPH_BENCH_SCALE", bad);
+    try {
+      scale_from_env();
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::logic_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + std::string{bad} + "'"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("quick|default|full"), std::string::npos) << what;
+    }
   }
 }
 

@@ -4,7 +4,7 @@
 
 #include <sstream>
 
-#include "core/mst/mst.hpp"
+#include "common/prng.hpp"
 #include "graph/generators.hpp"
 
 namespace archgraph::graph {
@@ -68,7 +68,9 @@ TEST(DimacsIo, RoundTripsRandomGraph) {
 
 TEST(DimacsIo, RoundTripsWeights) {
   const EdgeList g = random_graph(30, 80, 6);
-  const auto w = core::unique_random_weights(g.num_edges(), 7);
+  Prng rng(7);
+  std::vector<i64> w(static_cast<usize>(g.num_edges()));
+  for (i64& x : w) x = rng.range(-1000, 1000);
   std::ostringstream out;
   write_dimacs(out, g, &w);
   std::istringstream in(out.str());

@@ -20,6 +20,9 @@
 // ARCHGRAPH_BENCH_SCALE=quick|default|full.
 // Several SPECs concatenate into one plan (duplicate cells are rejected).
 //
+// Flags are strict: a repeated flag, or --profile-interval without
+// --profile/--profile-dir, exits 1 naming it.
+//
 // `run` writes one JSON object per cell (JSONL, schema_version-stamped) to
 // --out, or stdout with the progress report on stderr. Cells fan out over
 // --jobs N host threads (default: one per hardware thread); records are
@@ -50,6 +53,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -101,6 +105,12 @@ int run_list() {
   return 0;
 }
 
+/// Flags are strict: a flag given twice is an error rather than last-wins.
+void check_once(std::set<std::string>& seen, const std::string& arg) {
+  AG_CHECK(arg.rfind("--", 0) != 0 || seen.insert(arg).second,
+           "flag '" + arg + "' given twice");
+}
+
 /// A SPEC argument is a canned-grid name or a literal spec string.
 std::vector<std::string> resolve_spec(const std::string& arg) {
   const std::vector<std::string> canned =
@@ -126,7 +136,9 @@ int run_run(const std::vector<std::string>& args) {
   bool progress = true;
   sweep::RunOptions options;
   options.jobs = 0;  // auto: one worker per hardware thread
+  std::set<std::string> seen;
   for (usize i = 0; i < args.size(); ++i) {
+    check_once(seen, args[i]);
     if (args[i] == "--out") {
       AG_CHECK(i + 1 < args.size(), "--out needs a file path");
       out_path = args[++i];
@@ -165,6 +177,9 @@ int run_run(const std::vector<std::string>& args) {
       spec_texts.insert(spec_texts.end(), resolved.begin(), resolved.end());
     }
   }
+  AG_CHECK(!seen.contains("--profile-interval") || options.profile ||
+               !options.profile_dir.empty(),
+           "--profile-interval needs --profile or --profile-dir");
   AG_CHECK(!spec_texts.empty(),
            "run needs at least one SPEC (a spec string or a canned name — "
            "see --list)");
@@ -280,7 +295,9 @@ int run_verify_manifest(const std::vector<std::string>& args) {
 int run_check(const std::vector<std::string>& args) {
   std::string current_path, baseline_path;
   sweep::CompareOptions options;
+  std::set<std::string> seen;
   for (usize i = 0; i < args.size(); ++i) {
+    check_once(seen, args[i]);
     if (args[i] == "--against") {
       AG_CHECK(i + 1 < args.size(), "--against needs a baseline file");
       baseline_path = args[++i];
