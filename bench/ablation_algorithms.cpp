@@ -15,7 +15,7 @@
 #include "core/listrank/listrank.hpp"
 #include "graph/linked_list.hpp"
 
-int main() {
+static int bench_main() {
   using namespace archgraph;
   using bench::Scale;
   const Scale scale = bench::scale_from_env();
@@ -77,4 +77,8 @@ int main() {
                "Wyllie pays its log-factor extra\ninstructions on BOTH "
                "machines — latency tolerance does not excuse extra work.\n";
   return 0;
+}
+
+int main() {
+  return archgraph::bench::run_main("ablation_algorithms", bench_main);
 }

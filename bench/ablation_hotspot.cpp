@@ -63,7 +63,7 @@ sim::Cycle counter_run(bool shared) {
 
 }  // namespace
 
-int main() {
+static int bench_main() {
   bench::print_header("ABL-HOT — Hashed memory and synchronization hotspots",
                       "paper §2.2: hashing kills stride hotspots; shared "
                       "sync words can still serialize");
@@ -94,4 +94,8 @@ int main() {
                  "banks and finish far sooner.\n";
   }
   return 0;
+}
+
+int main() {
+  return archgraph::bench::run_main("ablation_hotspot", bench_main);
 }

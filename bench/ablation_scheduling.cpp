@@ -15,7 +15,7 @@
 #include "core/kernels/kernels.hpp"
 #include "graph/linked_list.hpp"
 
-int main() {
+static int bench_main() {
   using namespace archgraph;
   using bench::Scale;
   const Scale scale = bench::scale_from_env();
@@ -59,4 +59,8 @@ int main() {
                "freedom), > 1 once\nstreams own several uneven walks — the "
                "paper's case for int_fetch_add scheduling.\n";
   return 0;
+}
+
+int main() {
+  return archgraph::bench::run_main("ablation_scheduling", bench_main);
 }

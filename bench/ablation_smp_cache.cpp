@@ -10,7 +10,7 @@
 #include "core/kernels/kernels.hpp"
 #include "graph/linked_list.hpp"
 
-int main() {
+static int bench_main() {
   using namespace archgraph;
   using bench::Scale;
   const Scale scale = bench::scale_from_env();
@@ -80,4 +80,8 @@ int main() {
               << t;
   }
   return 0;
+}
+
+int main() {
+  return archgraph::bench::run_main("ablation_smp_cache", bench_main);
 }

@@ -14,7 +14,7 @@
 #include "core/kernels/kernels.hpp"
 #include "graph/linked_list.hpp"
 
-int main() {
+static int bench_main() {
   using namespace archgraph;
   using bench::Scale;
   const Scale scale = bench::scale_from_env();
@@ -45,3 +45,5 @@ int main() {
                "pointer-doubling step grows.\n";
   return 0;
 }
+
+int main() { return archgraph::bench::run_main("ablation_walks", bench_main); }

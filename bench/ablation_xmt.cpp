@@ -18,7 +18,7 @@
 #include "graph/generators.hpp"
 #include "graph/linked_list.hpp"
 
-int main() {
+static int bench_main() {
   using namespace archgraph;
   using bench::Scale;
   const Scale scale = bench::scale_from_env();
@@ -71,3 +71,5 @@ int main() {
                "fared against the MTA-2.\n";
   return 0;
 }
+
+int main() { return archgraph::bench::run_main("ablation_xmt", bench_main); }

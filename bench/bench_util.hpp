@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -68,6 +69,19 @@ inline usize jobs_from_env() {
   const char* env = std::getenv("ARCHGRAPH_BENCH_JOBS");
   if (env == nullptr) return 0;
   return static_cast<usize>(parse_positive_i64("ARCHGRAPH_BENCH_JOBS", env));
+}
+
+/// Runs a bench's body and reports what escapes it the way the tools do: an
+/// exception (a bad ARCHGRAPH_BENCH_* value, a failed self-check) prints
+/// "<bench>: <message>" on stderr and exits 1, instead of reaching
+/// std::terminate and aborting. Every bench main() is one call to this.
+inline int run_main(const char* bench, int (*body)()) {
+  try {
+    return body();
+  } catch (const std::exception& e) {
+    std::cerr << bench << ": " << e.what() << '\n';
+    return 1;
+  }
 }
 
 /// ARCHGRAPH_BENCH_PROFILE=1 attaches the interval profiler to every sweep

@@ -70,7 +70,7 @@ void add_mix_row(Table& table, const char* variant,
 
 }  // namespace
 
-int main() {
+static int bench_main() {
   using bench::Scale;
   const Scale scale = bench::scale_from_env();
 
@@ -221,3 +221,5 @@ int main() {
   bj.write();
   return 0;
 }
+
+int main() { return archgraph::bench::run_main("coloring_rounds", bench_main); }

@@ -40,7 +40,7 @@ void record_run(bench::BenchJson* bj, const sweep::CellResult& r,
 
 }  // namespace
 
-int main() {
+static int bench_main() {
   using bench::Scale;
   const Scale scale = bench::scale_from_env();
 
@@ -154,4 +154,8 @@ int main() {
   bench::maybe_write_csv(ratios, "fig1_ratios");
   bj.write();
   return 0;
+}
+
+int main() {
+  return archgraph::bench::run_main("fig1_list_ranking", bench_main);
 }

@@ -42,7 +42,7 @@ void record_run(bench::BenchJson* bj, const sweep::CellResult& r,
 
 }  // namespace
 
-int main() {
+static int bench_main() {
   using bench::Scale;
   const Scale scale = bench::scale_from_env();
 
@@ -142,4 +142,8 @@ int main() {
   bench::maybe_write_csv(ratio_table, "fig2_ratios");
   bj.write();
   return 0;
+}
+
+int main() {
+  return archgraph::bench::run_main("fig2_connected_components", bench_main);
 }

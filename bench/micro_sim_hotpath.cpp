@@ -237,7 +237,7 @@ Result bench_machine_cell(const std::string& label, const std::string& kernel,
 
 }  // namespace
 
-int main() {
+static int bench_main() {
   const bench::Scale scale = bench::scale_from_env();
   u64 queue_ops = 1u << 22;
   u64 words = 1u << 18;
@@ -349,4 +349,8 @@ int main() {
   bench::maybe_write_csv(table, "host_sim");
   bj.write();
   return g_sink == 0xdeadbeef ? 1 : 0;  // keep g_sink observable
+}
+
+int main() {
+  return archgraph::bench::run_main("micro_sim_hotpath", bench_main);
 }

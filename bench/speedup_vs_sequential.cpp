@@ -18,7 +18,7 @@
 #include "graph/generators.hpp"
 #include "graph/linked_list.hpp"
 
-int main() {
+static int bench_main() {
   using namespace archgraph;
   using bench::Scale;
   const Scale scale = bench::scale_from_env();
@@ -103,4 +103,8 @@ int main() {
                  "its\nmemory operations is latency-hidden.\n";
   }
   return 0;
+}
+
+int main() {
+  return archgraph::bench::run_main("speedup_vs_sequential", bench_main);
 }

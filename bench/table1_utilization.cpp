@@ -32,7 +32,7 @@ std::string percent(double fraction) {
 
 }  // namespace
 
-int main() {
+static int bench_main() {
   using bench::Scale;
   const Scale scale = bench::scale_from_env();
 
@@ -102,4 +102,8 @@ int main() {
   bj.set_host_metrics(telemetry.registry.to_json());
   bj.write();
   return 0;
+}
+
+int main() {
+  return archgraph::bench::run_main("table1_utilization", bench_main);
 }

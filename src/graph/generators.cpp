@@ -177,20 +177,6 @@ EdgeList random_tree(NodeId n, u64 seed) {
   return g;
 }
 
-EdgeList caterpillar(NodeId spine, NodeId legs) {
-  AG_CHECK(spine >= 1 && legs >= 0, "bad caterpillar parameters");
-  EdgeList g(spine * (1 + legs));
-  for (NodeId s = 0; s + 1 < spine; ++s) {
-    g.add_edge(s, s + 1);
-  }
-  for (NodeId s = 0; s < spine; ++s) {
-    for (NodeId leg = 0; leg < legs; ++leg) {
-      g.add_edge(s, spine + s * legs + leg);
-    }
-  }
-  return g;
-}
-
 EdgeList disjoint_random_graphs(NodeId n, i64 m, NodeId count, u64 seed) {
   AG_CHECK(count >= 1, "need at least one copy");
   EdgeList g(n * count);

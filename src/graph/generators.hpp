@@ -58,8 +58,4 @@ EdgeList disjoint_random_graphs(NodeId n, i64 m, NodeId count, u64 seed);
 /// ids. n-1 edges, connected, acyclic.
 EdgeList random_tree(NodeId n, u64 seed);
 
-/// A "caterpillar": a path of `spine` vertices, each with `legs` leaves —
-/// worst-case-ish depth with high degree, used by Euler-tour tests.
-EdgeList caterpillar(NodeId spine, NodeId legs);
-
 }  // namespace archgraph::graph

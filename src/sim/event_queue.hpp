@@ -6,12 +6,13 @@
 // order is a pure function of the push sequence, so any internally different
 // but contract-honoring implementation yields bit-identical simulations.
 //
-// This is the simulators' hottest structure (every ready/issue/complete/
-// retry passes through it), so it is a three-level scheduler ordered by how
-// hot each path is in the machine models:
+// This is the simulators' hottest structure (every completion and retry,
+// and the GPU's ready and issue events, pass through it), so it is a
+// three-level scheduler ordered by how hot each path is in the machine
+// models:
 //
-//   * Same-cycle FIFO: most events are scheduled *at the current simulation
-//     time* (ready/issue/dispatch chains tie on "now") and go to a plain
+//   * Same-cycle FIFO: many events are scheduled *at the current simulation
+//     time* (ready/issue chains tie on "now") and go to a plain
 //     contiguous vector — one buffer, reused forever, no ordering work.
 //     Correct because every such event's seq is larger than any same-time
 //     event already deeper in the queue, and pop() compares level fronts by
@@ -46,6 +47,13 @@
 // moves the queue's clock as popping it would have. Pop order depends only
 // on the relative order of (time, seq) keys, which drawing instead of
 // pushing leaves unchanged.
+//
+// Cycle-driven consumption: the MTA walks simulated cycles rather than
+// events. front_time() gives the earliest queued time, and pop_due(t) pops
+// the front only if it is due by cycle t, so events still leave in (time,
+// seq) order. When nothing is due, pop_due moves the queue's clock up to t,
+// which keeps the bucket window anchored near the caller's cycle through
+// stretches without pops.
 //
 // Region epochs: every Machine::run_region() restarts simulated time at 0,
 // and the FIFO/bucket tests are relative to now_ and win_base_. Each
@@ -180,6 +188,46 @@ class EventQueue {
     return (fifo_.size() - fifo_head_) + bucket_count_ + heap_.size();
   }
 
+  /// Time of the earliest queued event; the queue must be non-empty. As in
+  /// pop(), only the heap (a past-time push) can hold an event earlier than
+  /// a non-empty FIFO's front.
+  Cycle front_time() const {
+    AG_DCHECK(!empty(), "front_time() on an empty EventQueue");
+    if (fifo_head_ == fifo_.size() && bucket_count_ == 0) {
+      return heap_[0].time;
+    }
+    const Cycle t = fifo_head_ != fifo_.size()
+                        ? fifo_[fifo_head_].time
+                        : pool_[slot_head_[front_slot()]].e.time;
+    return heap_.empty() ? t : std::min(t, heap_[0].time);
+  }
+
+  /// Cycle-driven consumption (the MTA's issue loop): pops the earliest
+  /// event into `out` and returns true if it is due by `t` (time <= t).
+  /// Otherwise every queued event is later than `t`, so the queue's clock
+  /// moves up to `t` as a pop at `t` would move it, keeping the bucket
+  /// window anchored near the caller's cycle; returns false.
+  bool pop_due(Cycle t, Event& out) {
+    if (fifo_head_ == fifo_.size() && heap_.empty()) {
+      // The issue loop's steady state: only the bucket wheel holds events,
+      // so its front slot is the front.
+      if (bucket_count_ != 0) {
+        const usize s = front_slot();
+        if (pool_[slot_head_[s]].e.time <= t) {
+          out = take_slot(s);
+          return true;
+        }
+      }
+    } else if (front_time() <= t) {
+      out = pop();
+      return true;
+    }
+    if (t > now_) {
+      advance_to(t);
+    }
+    return false;
+  }
+
   Event pop() {
     // FIFO fast path. A FIFO event was pushed at a now_ the queue had
     // already reached, and pops are monotone over the pending minimum, so
@@ -214,16 +262,8 @@ class EventQueue {
     // (past-time pushes and window-boundary ties).
     if (bucket_count_ != 0) {
       const usize s = front_slot();
-      const u32 idx = slot_head_[s];
-      const Event e = pool_[idx].e;
-      if (heap_.empty() || !earlier(heap_[0], e)) {
-        if ((slot_head_[s] = pool_[idx].next) == kNil) {
-          occupied_[s >> 6] &= ~(u64{1} << (s & 63));
-        }
-        pool_[idx].next = free_head_;  // LIFO reuse keeps the hot set small
-        free_head_ = idx;
-        --bucket_count_;
-        return popped(e);
+      if (heap_.empty() || !earlier(heap_[0], pool_[slot_head_[s]].e)) {
+        return take_slot(s);
       }
     }
     AG_DCHECK(!heap_.empty(), "pop() on an empty EventQueue");
@@ -267,6 +307,19 @@ class EventQueue {
   Event popped(const Event& e) {
     advance_to(e.time);
     return e;
+  }
+
+  /// Pops the head of bucket slot `s`, which must hold the earliest event.
+  Event take_slot(usize s) {
+    const u32 idx = slot_head_[s];
+    const Event e = pool_[idx].e;
+    if ((slot_head_[s] = pool_[idx].next) == kNil) {
+      occupied_[s >> 6] &= ~(u64{1} << (s & 63));
+    }
+    pool_[idx].next = free_head_;  // LIFO reuse keeps the hot set small
+    free_head_ = idx;
+    --bucket_count_;
+    return popped(e);
   }
 
   /// The slot holding the earliest bucketed event: the window base's own

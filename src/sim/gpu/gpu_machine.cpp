@@ -322,7 +322,6 @@ void GpuMachine::handle_issue(u32 sm_id, Cycle now) {
         stats_.instructions += v;
         sm.issued += v;
         for (const u32 tid : group_lanes_) {
-          threads_[tid]->instructions += v;
           set_status(tid, ThreadState::Status::kWaitMemory);
           ++w.in_flight;
         }
@@ -408,10 +407,7 @@ void GpuMachine::handle_issue(u32 sm_id, Cycle now) {
         // Data effects apply at issue in lane order, so fetch-add sequences
         // within a warp are deterministic.
         for (const u32 tid : group_lanes_) {
-          ThreadState* ts = threads_[tid];
-          apply_data_effect(ts->pending);
-          ts->instructions += 1;
-          ts->memory_ops += 1;
+          apply_data_effect(threads_[tid]->pending);
           set_status(tid, ThreadState::Status::kWaitMemory);
           ++w.in_flight;
           ++acct.acct_mem;  // round trip in flight until the batch completion
@@ -441,9 +437,6 @@ void GpuMachine::handle_issue(u32 sm_id, Cycle now) {
         stats_.sync_ops += lanes;
         const Cycle group_end = t + lanes;
         for (const u32 tid : group_lanes_) {
-          ThreadState* ts = threads_[tid];
-          ts->instructions += 1;
-          ts->memory_ops += 1;
           if (try_sync(tid, group_end)) {
             start_sync_flight(tid, group_end);
             ++w.in_flight;
@@ -458,7 +451,6 @@ void GpuMachine::handle_issue(u32 sm_id, Cycle now) {
         stats_.instructions += 1;
         sm.issued += 1;
         for (const u32 tid : group_lanes_) {
-          threads_[tid]->instructions += 1;
           barrier_arrive(tid, t + 1);  // parked until the release
         }
         t += 1;

@@ -256,10 +256,11 @@ class Machine {
   /// admits threads_ at the fork time. The shared region state (ledgers,
   /// waiters, barrier episode, event queue) is already reset.
   virtual void open_region() = 0;
-  /// Runs the region's events dry. The MTA and GPU implement it as
-  /// run_events_for(*this) over their own `handle<Profiled>(const Event&)`;
+  /// Runs the region's events dry. The GPU implements it as
+  /// run_events_for(*this) over its own `handle<Profiled>(const Event&)`;
   /// the SMP runs its own loop, merging per-processor dispatch slots with
-  /// the queue's wakes in (time, seq) order.
+  /// the queue's wakes in (time, seq) order, and the MTA a cycle-driven
+  /// issue loop that takes due events from the queue (EventQueue::pop_due).
   virtual void run_events() = 0;
   /// Resumes a released barrier episode: the threads in release_buf_, in
   /// arrival order. The default (MTA, GPU) marks them in flight and pushes

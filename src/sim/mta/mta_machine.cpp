@@ -75,8 +75,9 @@ void MtaMachine::open_region() {
   }
   for (u32 p = 0; p < config_.processors; ++p) {
     u32* base = ring_arena_.data() + static_cast<usize>(p) * 2 * cap;
-    procs_[p].ready_fifo.bind(base, cap);
+    procs_[p].ready_ring.bind(base, cap);
     procs_[p].admission_queue.bind(base + cap, cap);
+    procs_[p].clock = config_.region_fork_cycles;  // the first issue slot
   }
   bank_free_.assign(
       static_cast<usize>(config_.banks_per_processor) * config_.processors, 0);
@@ -98,17 +99,65 @@ void MtaMachine::open_region() {
   }
 }
 
-void MtaMachine::run_events() { run_events_for(*this); }
+void MtaMachine::run_events() {
+  if (prof_hook_ != nullptr) {
+    issue_loop<true>();
+  } else {
+    issue_loop<false>();
+  }
+}
 
 template <bool Profiled>
+void MtaMachine::issue_loop() {
+  // Admission readied every stream with work at the fork time; a region
+  // whose threads all finished at admission has nothing to simulate.
+  const bool work = std::any_of(
+      procs_.begin(), procs_.end(),
+      [](const Processor& proc) { return !proc.ready_ring.empty(); });
+  Cycle t = work ? config_.region_fork_cycles : -1;
+  Event e;
+  while (t >= 0) {
+    if constexpr (Profiled) {
+      prof_hook_->on_advance(*this, t);
+    }
+    while (events_.pop_due(t, e)) {
+      // Due events are at t, except a barrier release a late finish
+      // scheduled in the past: t rewinds to it, and the events still due
+      // at the old t wait until the loop climbs back.
+      t = e.time;
+      handle(e);
+    }
+    // Issue in processor order, and find the next cycle: the earliest
+    // clock of a processor still holding a ready stream, or the earliest
+    // queued event. -1 when neither exists: the region is drained.
+    Cycle next = -1;
+    for (u32 p = 0; p < config_.processors; ++p) {
+      Processor& proc = procs_[p];
+      if (proc.ready_ring.empty()) {
+        continue;
+      }
+      if (proc.clock <= t) {
+        issue(p, t);
+        if (proc.ready_ring.empty()) {
+          continue;
+        }
+      }
+      if (next < 0 || proc.clock < next) {
+        next = proc.clock;
+      }
+    }
+    if (!events_.empty()) {
+      const Cycle queued = events_.front_time();
+      if (next < 0 || queued < next) {
+        next = queued;
+      }
+    }
+    t = next;
+  }
+}
+
 void MtaMachine::handle(const Event& e) {
   switch (static_cast<EventKind>(e.kind)) {
-    case kReady:
-      on_ready(static_cast<u32>(e.payload), e.time);
-      break;
-    case kIssue:
-      handle_issue(static_cast<u32>(e.payload), e.time);
-      break;
     case kComplete: {
       const auto tid = static_cast<u32>(e.payload);
       acct_complete(tid, e.time);
@@ -121,10 +170,7 @@ void MtaMachine::handle(const Event& e) {
       break;
     case kRelease:
       // A barrier-release storm batched into one event: resume every
-      // parked stream in arrival order. The per-thread kComplete events
-      // this replaces were pushed back-to-back (consecutive seqs at one
-      // time), so nothing could ever pop between them — processing the
-      // whole storm in one handler is pop-order-identical.
+      // parked stream in arrival order.
       for (const auto& [tid, arrival] : release_buf_) {
         acct_complete(tid, e.time);
         advance_thread(*threads_[tid]);
@@ -139,29 +185,20 @@ void MtaMachine::post_advance(u32 tid, Cycle now) {
   ThreadState* ts = threads_[tid];
   if (ts->pending.kind == OpKind::kDone) {
     on_finish(tid, now);
-  } else {
-    set_status(tid, ThreadState::Status::kRunnable);
-    events_.push(now, kReady, tid);
-  }
-}
-
-void MtaMachine::on_ready(u32 tid, Cycle now) {
-  ThreadState* ts = threads_[tid];
-  Processor& proc = procs_[ts->processor];
-  proc.ready_fifo.push(tid);
-  if (!proc.issue_scheduled) {
-    proc.issue_scheduled = true;
-    events_.push(std::max(now, proc.clock), kIssue, ts->processor);
-  }
-}
-
-void MtaMachine::handle_issue(u32 proc_id, Cycle now) {
-  Processor& proc = procs_[proc_id];
-  if (proc.ready_fifo.empty()) {
-    proc.issue_scheduled = false;
     return;
   }
-  const u32 tid = proc.ready_fifo.pop();
+  set_status(tid, ThreadState::Status::kRunnable);
+  Processor& proc = procs_[ts->processor];
+  if (proc.ready_ring.empty()) {
+    // An idle processor's next slot is the cycle its first stream is ready.
+    proc.clock = std::max(proc.clock, now);
+  }
+  proc.ready_ring.push(tid);
+}
+
+void MtaMachine::issue(u32 proc_id, Cycle now) {
+  Processor& proc = procs_[proc_id];
+  const u32 tid = proc.ready_ring.pop();
   ThreadState* ts = threads_[tid];
   Operation& op = ts->pending;
 
@@ -176,7 +213,6 @@ void MtaMachine::handle_issue(u32 proc_id, Cycle now) {
       proc.clock = now + slots;
       stats_.instructions += slots;
       proc.issued += slots;
-      ts->instructions += slots;
       claim(acct, CycleCat::kIssued, proc.clock);
       set_status(tid, ThreadState::Status::kWaitMemory);  // held until t+slots
       events_.push(proc.clock, kComplete, tid);
@@ -189,8 +225,6 @@ void MtaMachine::handle_issue(u32 proc_id, Cycle now) {
       stats_.instructions += 1;
       stats_.memory_ops += 1;
       proc.issued += 1;
-      ts->instructions += 1;
-      ts->memory_ops += 1;
       claim(acct, CycleCat::kIssued, proc.clock);
       ++acct.acct_mem;  // round trip in flight until kComplete
       if (op.kind == OpKind::kLoad) ++stats_.loads;
@@ -208,8 +242,6 @@ void MtaMachine::handle_issue(u32 proc_id, Cycle now) {
       stats_.memory_ops += 1;
       stats_.sync_ops += 1;
       proc.issued += 1;
-      ts->instructions += 1;
-      ts->memory_ops += 1;
       claim(acct, CycleCat::kIssued, proc.clock);
       attempt_sync(tid, now + 1 + net_half_);
       break;
@@ -218,7 +250,6 @@ void MtaMachine::handle_issue(u32 proc_id, Cycle now) {
       proc.clock = now + 1;
       stats_.instructions += 1;
       proc.issued += 1;
-      ts->instructions += 1;
       claim(acct, CycleCat::kIssued, proc.clock);
       barrier_arrive(tid, now);
       break;
@@ -226,12 +257,6 @@ void MtaMachine::handle_issue(u32 proc_id, Cycle now) {
     case OpKind::kNone:
     case OpKind::kDone:
       AG_CHECK(false, "invalid operation reached the issue stage");
-  }
-
-  if (!proc.ready_fifo.empty()) {
-    events_.push(proc.clock, kIssue, proc_id);
-  } else {
-    proc.issue_scheduled = false;
   }
 }
 
@@ -302,7 +327,7 @@ void MtaMachine::sample_prof_gauges(i64* out) const {
     if (p < procs_.size()) {
       const Processor& proc = procs_[p];
       out[i++] = proc.issued;
-      ready += static_cast<i64>(proc.ready_fifo.size());
+      ready += static_cast<i64>(proc.ready_ring.size());
       in_use += proc.streams_in_use;
       // acct_mem counts exactly the streams in kWaitMemory on a memory or
       // satisfied-sync round trip (compute occupancy and barrier releases are

@@ -4,7 +4,8 @@
 //   * p processors, 128 hardware streams each; "a processor switches among
 //     its streams every cycle, executing instructions from non-blocked
 //     streams" — one issue slot per processor per cycle, granted to ready
-//     streams; threads beyond the stream count wait for a free stream.
+//     streams in the order they became ready; threads beyond the stream
+//     count wait for a free stream.
 //   * "no local memory and no data caches ... parallelism, not caches, is
 //     used to tolerate memory latency" — every memory operation costs one
 //     issue slot and completes after the network+memory round trip
@@ -22,6 +23,25 @@
 //     (consuming bank slots) whenever the tag flips.
 //   * "a machine instruction, int_fetch_add ... takes one cycle" — one issue
 //     slot, atomic read-modify-write during its bank cycle.
+//
+// The issue loop (run_events) is cycle-driven, one cycle t at a time:
+//   1. every queued event due by t — memory and compute completions,
+//      full/empty retries, barrier releases — is handled in (time, seq)
+//      order, and each thread it resumes joins the back of its processor's
+//      ready ring;
+//   2. processors 0..p-1, in index order, each issue their ring's front if
+//      the ring is non-empty and their clock (the next cycle they may
+//      issue) has reached t;
+//   3. t jumps to the earliest clock of a processor with a ready stream or
+//      the earliest queued event, so idle windows cost nothing.
+// Issues are never queued as events; the queue holds only completions,
+// retries and releases. The tie rule follows from the order: requests of
+// one cycle reach the banks in processor-index order, after every event of
+// that cycle, so a contended bank or word is arbitrated by (cycle,
+// processor, ready order). A barrier released by a thread finishing after
+// the last arrival is due in the past; the loop rewinds t to it, and a
+// thread never issues before the cycle it became ready (a processor's
+// clock is raised to that cycle when its ring fills).
 //
 // Not modelled (documented in DESIGN.md §6): the 3-wide LIW instruction
 // format and 8-deep per-stream lookahead. Each costed operation is a
@@ -90,14 +110,12 @@ class MtaMachine final : public Machine {
   void sample_prof_gauges(i64* out) const override;
 
  private:
-  friend class Machine;  // runs handle<Profiled>() from its event loop
-  enum EventKind : u32 { kReady, kIssue, kComplete, kRetry, kRelease };
+  enum EventKind : u32 { kComplete, kRetry, kRelease };
 
   struct Processor {
-    RingView ready_fifo;       // window of MtaMachine::ring_arena_
+    RingView ready_ring;       // window of MtaMachine::ring_arena_
     RingView admission_queue;  // threads waiting for a stream slot
     u32 streams_in_use = 0;
-    bool issue_scheduled = false;
     Cycle clock = 0;   // next cycle this processor may issue
     i64 issued = 0;    // issue slots consumed (profiling gauge)
   };
@@ -105,9 +123,9 @@ class MtaMachine final : public Machine {
   void open_region() override;
   void run_events() override;
   template <bool Profiled>
+  void issue_loop();
   void handle(const Event& e);
-  void on_ready(u32 tid, Cycle now);
-  void handle_issue(u32 proc, Cycle now);
+  void issue(u32 proc, Cycle now);
   void post_advance(u32 tid, Cycle now);
   void on_finish(u32 tid, Cycle now);
   Cycle service_memory(Operation& op, Cycle issue_time, u32 proc);

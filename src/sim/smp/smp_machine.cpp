@@ -369,7 +369,6 @@ Cycle SmpMachine::execute_op(u32 tid, Cycle start) {
     case OpKind::kCompute: {
       const i64 slots = std::max<i64>(op.value, 1);
       stats_.instructions += slots;
-      ts->instructions += slots;
       stats_.breakdown[CycleCat::kIssued] += slots;
       acct.acct_until = start + slots;
       return start + slots;
@@ -378,8 +377,6 @@ Cycle SmpMachine::execute_op(u32 tid, Cycle start) {
     case OpKind::kStore: {
       stats_.instructions += 1;
       stats_.memory_ops += 1;
-      ts->instructions += 1;
-      ts->memory_ops += 1;
       if (op.kind == OpKind::kLoad) ++stats_.loads;
       if (op.kind == OpKind::kStore) ++stats_.stores;
       AccessSplit split;
@@ -399,8 +396,6 @@ Cycle SmpMachine::execute_op(u32 tid, Cycle start) {
       stats_.instructions += 1;
       stats_.memory_ops += 1;
       stats_.fetch_adds += 1;
-      ts->instructions += 1;
-      ts->memory_ops += 1;
       if (prof_hook_ != nullptr) {
         prof_hook_->on_access(op.addr, AccessClass::kRmw, true);
       }
@@ -430,8 +425,6 @@ Cycle SmpMachine::execute_op(u32 tid, Cycle start) {
       stats_.instructions += 1;
       stats_.memory_ops += 1;
       stats_.sync_ops += 1;
-      ts->instructions += 1;
-      ts->memory_ops += 1;
       const Cycle bus_start = bus_transaction(start, config_.bus_occupancy);
       const Cycle probe_end = bus_start + config_.rmw_cost;
       // The probe costs the same whether it succeeds or parks: bus queueing,
@@ -450,7 +443,6 @@ Cycle SmpMachine::execute_op(u32 tid, Cycle start) {
     }
     case OpKind::kBarrier: {
       stats_.instructions += 1;
-      ts->instructions += 1;
       // Arrival = one ticket RMW on the barrier counter.
       const Cycle bus_start = bus_transaction(start, config_.bus_occupancy);
       const Cycle arrival = bus_start + config_.rmw_cost;

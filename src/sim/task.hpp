@@ -52,10 +52,6 @@ struct ThreadState {
   u32 id = 0;         // dense thread index within the region
   u32 processor = 0;  // assigned by the machine at admission
 
-  // Per-thread statistics (aggregated into machine stats at region end).
-  i64 instructions = 0;
-  i64 memory_ops = 0;
-
   /// Resumes the coroutine until its next operation (or completion).
   /// Afterwards `pending.kind` is the new op, or kDone.
   void advance();

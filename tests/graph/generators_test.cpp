@@ -144,13 +144,6 @@ TEST(RandomTree, SingleVertexAndDeterminism) {
   }
 }
 
-TEST(Caterpillar, Structure) {
-  const EdgeList c = caterpillar(4, 3);
-  EXPECT_EQ(c.num_vertices(), 16);
-  EXPECT_EQ(c.num_edges(), 3 + 12);  // spine + legs
-  EXPECT_TRUE(validate::is_simple(c));
-}
-
 TEST(DisjointRandomGraphs, BuildsIsolatedCopies) {
   const EdgeList g = disjoint_random_graphs(10, 20, 4, 17);
   EXPECT_EQ(g.num_vertices(), 40);

@@ -62,6 +62,17 @@ TEST(ProfDeterminism, AttachedProfilerDoesNotPerturbMta) {
   EXPECT_EQ(off.mem_fills, on.mem_fills);
 }
 
+TEST(ProfDeterminism, AttachedProfilerDoesNotPerturbMtaAtWidth) {
+  // Four processors issue in the same cycles, so the profiled instantiation
+  // of the MTA's issue loop must keep the same-cycle order too.
+  const graph::LinkedList list = graph::random_list(4096, 7);
+  const Counters off = run_rank("mta:procs=4", list, false);
+  const Counters on = run_rank("mta:procs=4", list, true);
+  EXPECT_EQ(off.cycles, on.cycles);
+  EXPECT_EQ(off.instructions, on.instructions);
+  EXPECT_EQ(off.memory_ops, on.memory_ops);
+}
+
 TEST(ProfDeterminism, AttachedProfilerDoesNotPerturbSmp) {
   const graph::LinkedList list = graph::random_list(4096, 7);
   const Counters off = run_rank("smp:procs=2,l2_kb=64", list, false);

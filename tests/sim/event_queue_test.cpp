@@ -78,6 +78,11 @@ class ReferenceQueue {
       return e.time != time ? e.time < time : e.seq < seq;
     });
   }
+  Cycle front_time() const {
+    Cycle t = events_.front().time;
+    for (const Event& e : events_) t = std::min(t, e.time);
+    return t;
+  }
   Event pop() {
     auto it = std::min_element(events_.begin(), events_.end(),
                                [](const Event& a, const Event& b) {
@@ -132,6 +137,59 @@ TEST(EventQueue, DifferentialAgainstReferenceModel) {
       const Event a = q.pop();
       const Event b = ref.pop();
       ASSERT_EQ(a.time, b.time) << "epoch " << epoch;
+      ASSERT_EQ(a.kind, b.kind) << "epoch " << epoch;
+    }
+    EXPECT_TRUE(ref.empty());
+  }
+}
+
+TEST(EventQueue, CycleLoopDifferentialAgainstReferenceModel) {
+  // Cycle-driven consumption, as the MTA's issue loop drives the queue: at
+  // each cycle t take every due event with pop_due(t), where handling one
+  // pushes completions up to ~600 cycles ahead, a same-cycle event now and
+  // then, and rarely an event in the past, which rewinds t to it; then
+  // jump t ahead by a few cycles or to the queue front. pop_due must hand
+  // out exactly the reference's (time, seq) order, and front_time() must
+  // be the reference's earliest time.
+  Prng rng(0x10a9u);
+  EventQueue q;
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    q.start_region();
+    ReferenceQueue ref;
+    u32 next_kind = 1;
+    auto push = [&](Cycle time) {
+      const u32 kind = next_kind++;
+      q.push(time, kind, kind * 5);
+      ref.push(time, kind, kind * 5);
+    };
+    for (int i = 0; i < 16; ++i) push(static_cast<Cycle>(rng.below(64)));
+    Cycle t = 0;
+    for (int step = 0; step < 20000 && !ref.empty(); ++step) {
+      Event e;
+      while (q.pop_due(t, e)) {
+        const Event r = ref.pop();
+        ASSERT_LE(r.time, t) << "epoch " << epoch << " step " << step;
+        ASSERT_EQ(e.time, r.time) << "epoch " << epoch << " step " << step;
+        ASSERT_EQ(e.kind, r.kind) << "epoch " << epoch << " step " << step;
+        ASSERT_EQ(e.payload, r.payload);
+        t = e.time;
+        const u64 roll = rng.below(100);
+        const auto jitter = static_cast<Cycle>(rng.below(120));
+        if (roll < 70) push(t + 1 + jitter);         // a completion
+        if (roll >= 40 && roll < 45) push(t + 512 + jitter);  // heap
+        if (roll >= 45 && roll < 50) push(t);        // same cycle
+        if (roll == 99 && t > 8) push(t - 1 - jitter % 8);  // past: rewind
+      }
+      ASSERT_TRUE(ref.empty() || ref.front_time() > t) << "step " << step;
+      ASSERT_EQ(q.empty(), ref.empty());
+      if (ref.empty()) break;
+      ASSERT_EQ(q.front_time(), ref.front_time()) << "step " << step;
+      if (rng.below(100) < 20) push(t + 1 + static_cast<Cycle>(rng.below(40)));
+      t = std::min(ref.front_time(), t + 1 + static_cast<Cycle>(rng.below(3)));
+    }
+    while (!q.empty()) {
+      const Event a = q.pop();
+      const Event b = ref.pop();
       ASSERT_EQ(a.kind, b.kind) << "epoch " << epoch;
     }
     EXPECT_TRUE(ref.empty());

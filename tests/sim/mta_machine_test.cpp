@@ -228,6 +228,42 @@ TEST(MtaMachine, ThreadsBeyondStreamCapacityStillComplete) {
   EXPECT_EQ(counter.get(0), 300);
 }
 
+/// Two computes on one thread, then a fetch-add on `word` whose old value
+/// lands in out[0]; out[1] gets a ticket from `order` taken right after, so
+/// the tickets give the order in which the fetch-adds completed.
+SimThread split_then_add(Ctx ctx, i64 first, i64 second, Addr word,
+                         Addr order, SimArray<i64> out) {
+  co_await ctx.compute(first);
+  if (second > 0) {
+    co_await ctx.compute(second);
+  }
+  out.set(0, co_await ctx.fetch_add(word, 1));
+  out.set(1, co_await ctx.fetch_add(order, 1));
+}
+
+TEST(MtaMachine, SameCycleRequestsReachTheBanksInProcessorOrder) {
+  // Thread 0 runs on processor 0 (compute 1 then 4), thread 1 on processor 1
+  // (compute 5): both become ready at fork + 5, and both fetch-adds reach
+  // the word's bank in the same cycle. Processor 1's completion is queued
+  // first, so event order alone would hand it the bank; the tie rule
+  // (every event of the cycle first, then issue in processor order) gives
+  // the bank to processor 0, whose fetch-add also completes first.
+  MtaConfig cfg;
+  cfg.processors = 2;
+  MtaMachine m(cfg);
+  SimArray<i64> word(m.memory(), 2);
+  SimArray<i64> out0(m.memory(), 2);
+  SimArray<i64> out1(m.memory(), 2);
+  m.spawn(split_then_add, 1, 4, word.addr(0), word.addr(1), out0);
+  m.spawn(split_then_add, 5, 0, word.addr(0), word.addr(1), out1);
+  m.run_region();
+  EXPECT_EQ(out0.get(0), 0);  // processor 0 got the old value
+  EXPECT_EQ(out1.get(0), 1);
+  EXPECT_EQ(out0.get(1), 0);  // ...and its fetch-add completed first
+  EXPECT_EQ(out1.get(1), 1);
+  EXPECT_EQ(word.get(0), 2);
+}
+
 TEST(MtaMachine, DeterministicAcrossRuns) {
   auto run = [] {
     MtaMachine m;

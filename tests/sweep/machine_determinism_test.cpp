@@ -36,6 +36,23 @@ struct Golden {
 /// the SIMT model so divergence/coalescing accounting is exercised too.
 const std::vector<Golden>& goldens() {
   static const std::vector<Golden> g = {
+      // One-processor MTA rows, captured before the MTA's cycle issue loop
+      // replaced its ready and issue events: at one processor the loop's
+      // tie rule orders issues exactly as the old event sequence did.
+      {"kernel=lr_walk machine=mta:procs=1 n=1024 layout=random",
+       37565,
+       16769,
+       13569,
+       {{CycleCat::kIssued, 16769},
+        {CycleCat::kNoReadyStream, 17468},
+        {CycleCat::kIdleNoThread, 3328}}},
+      {"kernel=cc_sv_mta machine=mta:procs=1 n=512 m=4096 layout=random",
+       202602,
+       160578,
+       108075,
+       {{CycleCat::kIssued, 160578},
+        {CycleCat::kNoReadyStream, 40488},
+        {CycleCat::kIdleNoThread, 1536}}},
       {"kernel=lr_walk machine=mta:procs=2 n=1024 layout=random",
        33455,
        16897,
@@ -269,6 +286,17 @@ void run_sync_program(sim::Machine& m) {
 
 const std::vector<SyncGolden>& sync_goldens() {
   static const std::vector<SyncGolden> g = {
+      {"mta:procs=1",
+       5377,
+       3183,
+       53,
+       42,
+       2,
+       0,
+       {{CycleCat::kIssued, 3183},
+        {CycleCat::kNoReadyStream, 1556},
+        {CycleCat::kBarrier, 126},
+        {CycleCat::kIdleNoThread, 512}}},
       {"mta:procs=2",
        5364,
        3183,

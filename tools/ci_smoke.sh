@@ -66,8 +66,11 @@ echo "== simulator hot-path bench (quick scale, JSON schema only) =="
 # ones restarting at time 0) must schedule nothing on the overflow heap, and
 # on every machine/smp/* series at least 90% of the handled events must be
 # dispatch-slot events (fused >= 0.9 x events; the queue keeps only wakes),
-# so a refactor cannot silently route dispatches back through it. A third
-# is structural: every machine/* series allocates at most two coroutine
+# so a refactor cannot silently route dispatches back through it. On every
+# machine/mta/* series the events handled stay within 1.1 per simulated
+# instruction: the MTA's issue loop queues completions, retries and
+# releases, never per-instruction ready or issue events. A fourth gate is
+# structural: every machine/* series allocates at most two coroutine
 # frames per simulated thread (kernels run one frame per thread).
 ARCHGRAPH_BENCH_SCALE=quick ARCHGRAPH_BENCH_JSON="$OUT_DIR" \
     "$BUILD_DIR"/bench/micro_sim_hotpath >/dev/null
@@ -106,10 +109,13 @@ for r in records:
     if r["benchmark"].startswith("machine/smp/"):
         assert r["fused"] >= 0.9 * r["events"], \
             f"SMP dispatches went through the event queue: {r}"
+    if r["benchmark"].startswith("machine/mta/"):
+        assert r["events"] <= 1.1 * r["ops"], \
+            f"MTA handles more than 1.1 events per instruction: {r}"
 
 print(f"ok: {len(records)} hot-path series, schema complete, "
       "region restarts stay off the heap, SMP dispatches use slots, "
-      "one frame per simulated thread")
+      "MTA events <= 1.1 per instruction, one frame per simulated thread")
 EOF
 "$BUILD_DIR"/tools/bench_diff "$OUT_DIR/BENCH_host_sim.json" \
     "$OUT_DIR/BENCH_host_sim.json" --min-speedup 1.0 \
@@ -208,6 +214,30 @@ expect_cli_error "unknown flag '--bogus' for cc" \
     cc --machine mta --random 2048,8192,1 --bogus 1
 echo "ok: rejected for their own cause (mta unknown key, gpu zero width," \
     "gpu unknown key, native, msf, cc --n, cc --bogus)"
+
+echo "== bench rejections (a bad environment value exits 1 naming it) =="
+# Every bench main reports an escaping error the way the tools do: exit 1
+# and a message naming the variable, never an abort (exit 134).
+expect_bench_error() {  # expect_bench_error VAR=VALUE BENCH
+  local assignment=$1 bench=$2 rc=0
+  env ARCHGRAPH_BENCH_SCALE=quick "$assignment" "$BUILD_DIR"/bench/"$bench" \
+      >/dev/null 2>"$OUT_DIR/bench_err.txt" || rc=$?
+  [ "$rc" -eq 1 ] || {
+    echo "error: $assignment $bench exited $rc, want 1" >&2
+    cat "$OUT_DIR/bench_err.txt" >&2
+    exit 1
+  }
+  local var=${assignment%%=*}
+  grep -qF -- "$var" "$OUT_DIR/bench_err.txt" || {
+    echo "error: $assignment $bench failed without naming $var:" >&2
+    cat "$OUT_DIR/bench_err.txt" >&2
+    exit 1
+  }
+}
+expect_bench_error ARCHGRAPH_BENCH_SCALE=qiuck fig1_list_ranking
+expect_bench_error ARCHGRAPH_BENCH_JOBS=0 fig1_list_ranking
+expect_bench_error ARCHGRAPH_BENCH_SCALE=qiuck micro_sim_hotpath
+echo "ok: benches exit 1 naming ARCHGRAPH_BENCH_SCALE and ARCHGRAPH_BENCH_JOBS"
 
 echo "== sweep determinism (--jobs must not change the output) =="
 "$BUILD_DIR"/tools/archgraph_sweep --list >/dev/null
