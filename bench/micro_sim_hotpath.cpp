@@ -16,12 +16,23 @@
 // spawned) and frames (coroutine frames the host allocated for them); a
 // kernel runs one frame per thread, so frames == threads.
 //
+// Every series runs kRuns times, round-robin over the whole suite so a slow
+// stretch of the host spreads over all series; `seconds` is the median run,
+// next to seconds_min, seconds_max and runs.
+//
+// The synthetic machine/gpu/{compute,coalesced_load,scattered_load,
+// fetch_add} series run one op kind on every resident lane of gpu:procs=4,
+// so each warp-instruction is one convergent group: their ns_per_lane_op
+// (host ns per lane operation, lane_ops of them) splits the GPU's issue
+// cost by op kind, per lane.
+//
 // The fig2_p1 / fig2_p8 pairs run one Shiloach-Vishkin CC cell (same graph,
 // same per-edge and per-vertex work) at 1 and at 8 processors: cc_sv_mta on
 // the MTA and the GPU (8x the resident streams or lanes), cc_sv_smp on the
 // default SMP (8x the processors, each with its own L1 and L2 tags). Their
 // ns/instr ratio is each machine's host width cost.
 #include <algorithm>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -32,6 +43,7 @@
 #include "common/timer.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/frame_pool.hpp"
+#include "sim/gpu/gpu_machine.hpp"
 #include "sim/memory.hpp"
 #include "sweep/registry.hpp"
 #include "sweep/runner.hpp"
@@ -44,6 +56,9 @@ using namespace archgraph;
 // optimizer cannot delete the measured loops.
 u64 g_sink = 0;
 
+/// Runs of every series; the record keeps the median.
+constexpr usize kRuns = 5;
+
 struct Result {
   std::string name;
   u64 ops = 0;
@@ -53,7 +68,11 @@ struct Result {
   i64 fused = -1;
   i64 threads = -1;
   i64 frames = -1;
+  i64 lane_ops = -1;  // -1: not a synthetic GPU lane series
+  double seconds_min = 0.0;
+  double seconds_max = 0.0;
   double ops_per_sec() const { return seconds > 0.0 ? ops / seconds : 0.0; }
+  double ns_per_lane_op() const { return seconds * 1e9 / lane_ops; }
 };
 
 /// Same-cycle regime: ready/issue/complete chains push at the time of the
@@ -235,6 +254,75 @@ Result bench_machine_cell(const std::string& label, const std::string& kernel,
           static_cast<i64>(threads),   static_cast<i64>(frames)};
 }
 
+/// Op kinds of the synthetic GPU lane series.
+enum class LaneOp { kCompute, kCoalescedLoad, kScatteredLoad, kFetchAdd };
+
+/// `rounds` ops of one kind on every resident lane of gpu:procs=4 (4096
+/// lanes, so every warp is full and presents one kind: no divergence). The
+/// load series read fresh words every round, so the scratchpad never hits:
+/// coalesced lanes read consecutive words (one segment per 16 lanes),
+/// scattered lanes read words `rounds` apart (one segment per lane at 16
+/// rounds and up). Fetch-adds hit one word per lane and always serialize.
+Result bench_gpu_lanes(const std::string& label, LaneOp op, i64 rounds,
+                       u64 reps) {
+  sim::GpuConfig config;
+  config.processors = 4;
+  const i64 lanes = static_cast<i64>(config.processors) *
+                    config.warps_per_processor * config.warp_width;
+  u64 instructions = 0;
+  u64 heap_pushes = 0;
+  u64 events = 0;
+  u64 fused = 0;
+  u64 threads = 0;
+  const u64 frames_before = sim::detail::frame_pool().allocations();
+  Timer timer;
+  for (u64 r = 0; r < reps; ++r) {
+    sim::GpuMachine m{config};
+    const sim::Addr base = m.memory().alloc(lanes * rounds);
+    for (i64 lane = 0; lane < lanes; ++lane) {
+      m.spawn(
+          [](sim::Ctx ctx, LaneOp op, sim::Addr base, i64 lane, i64 lanes,
+             i64 rounds) -> sim::SimThread {
+            for (i64 i = 0; i < rounds; ++i) {
+              switch (op) {
+                case LaneOp::kCompute:
+                  co_await ctx.compute(1);
+                  break;
+                case LaneOp::kCoalescedLoad:
+                  co_await ctx.load(base + static_cast<sim::Addr>(
+                                               i * lanes + lane));
+                  break;
+                case LaneOp::kScatteredLoad:
+                  co_await ctx.load(base + static_cast<sim::Addr>(
+                                               lane * rounds + i));
+                  break;
+                case LaneOp::kFetchAdd:
+                  co_await ctx.fetch_add(
+                      base + static_cast<sim::Addr>(lane), 1);
+                  break;
+              }
+            }
+          },
+          op, base, lane, lanes, rounds);
+    }
+    m.run_region();
+    g_sink += static_cast<u64>(m.cycles());
+    instructions += static_cast<u64>(m.stats().instructions);
+    heap_pushes += m.event_heap_pushes();
+    events += m.events_pushed() + m.events_fused();
+    fused += m.events_fused();
+    threads += static_cast<u64>(m.stats().threads);
+  }
+  const double seconds = timer.seconds();
+  const u64 frames = sim::detail::frame_pool().allocations() - frames_before;
+  Result r{"machine/gpu/" + label,     instructions,
+           seconds,                    static_cast<i64>(heap_pushes),
+           static_cast<i64>(events),   static_cast<i64>(fused),
+           static_cast<i64>(threads),  static_cast<i64>(frames)};
+  r.lane_ops = static_cast<i64>(reps) * lanes * rounds;
+  return r;
+}
+
 }  // namespace
 
 static int bench_main() {
@@ -264,13 +352,15 @@ static int bench_main() {
       "every\nsimulated cycle passes through) — not a property of the modeled "
       "machines");
 
-  std::vector<Result> results;
-  results.push_back(bench_event_queue_same_cycle(queue_ops));
-  results.push_back(bench_event_queue_heap(queue_ops));
-  results.push_back(bench_event_queue_region_restart(queue_ops));
-  results.push_back(bench_memory_sequential(words, passes));
-  results.push_back(bench_memory_random(words, passes));
-  results.push_back(bench_memory_tag_bits(words, passes));
+  // Each series is a closure, so the suite can run round-robin kRuns times.
+  std::vector<std::function<Result()>> series;
+  series.push_back([=] { return bench_event_queue_same_cycle(queue_ops); });
+  series.push_back([=] { return bench_event_queue_heap(queue_ops); });
+  series.push_back(
+      [=] { return bench_event_queue_region_restart(queue_ops); });
+  series.push_back([=] { return bench_memory_sequential(words, passes); });
+  series.push_back([=] { return bench_memory_random(words, passes); });
+  series.push_back([=] { return bench_memory_tag_bits(words, passes); });
 
   // Whole-machine instructions/sec, fig1- and fig2-shaped, one pair per
   // preset. fig1 shape: list ranking on a random list (lr_walk for the
@@ -278,27 +368,24 @@ static int bench_main() {
   // on a random graph with m = 8n (cc_sv_smp on the SMP).
   const i64 cc_n = cell_n / 4;
   const auto layout = sweep::Layout::kRandom;
-  results.push_back(bench_machine_cell("mta/fig1", "lr_walk", "mta:procs=4",
-                                       layout, cell_n, 0, cell_reps));
-  results.push_back(bench_machine_cell("mta/fig2", "cc_sv_mta", "mta:procs=4",
-                                       layout, cc_n, 8 * cc_n, cell_reps));
-
-  results.push_back(bench_machine_cell("smp/fig1", "lr_hj",
-                                       "smp:procs=4,l2_kb=512", layout, cell_n,
-                                       0, cell_reps));
+  auto cell = [&](std::string label, std::string kernel, std::string machine,
+                  i64 n, i64 m, u64 reps) {
+    series.push_back([=] {
+      return bench_machine_cell(label, kernel, machine, layout, n, m, reps);
+    });
+  };
+  cell("mta/fig1", "lr_walk", "mta:procs=4", cell_n, 0, cell_reps);
+  cell("mta/fig2", "cc_sv_mta", "mta:procs=4", cc_n, 8 * cc_n, cell_reps);
+  cell("smp/fig1", "lr_hj", "smp:procs=4,l2_kb=512", cell_n, 0, cell_reps);
   // smp/fig1's list barely leaves the simulated L2; a 16x longer one makes
   // nearly every pointer chase a line fill, so the miss and coherence paths
   // dominate. Fewer reps: each one is 16x the work.
-  results.push_back(bench_machine_cell(
-      "smp/fig1_l2miss", "lr_hj", "smp:procs=4,l2_kb=512", layout,
-      16 * cell_n, 0, std::max<u64>(cell_reps / 4, 1)));
-  results.push_back(bench_machine_cell("smp/fig2", "cc_sv_smp",
-                                       "smp:procs=4,l2_kb=512", layout, cc_n,
-                                       8 * cc_n, cell_reps));
-  results.push_back(bench_machine_cell("gpu/fig1", "lr_walk", "gpu:procs=4",
-                                       layout, cell_n, 0, cell_reps));
-  results.push_back(bench_machine_cell("gpu/fig2", "cc_sv_mta", "gpu:procs=4",
-                                       layout, cc_n, 8 * cc_n, cell_reps));
+  cell("smp/fig1_l2miss", "lr_hj", "smp:procs=4,l2_kb=512", 16 * cell_n, 0,
+       std::max<u64>(cell_reps / 4, 1));
+  cell("smp/fig2", "cc_sv_smp", "smp:procs=4,l2_kb=512", cc_n, 8 * cc_n,
+       cell_reps);
+  cell("gpu/fig1", "lr_walk", "gpu:procs=4", cell_n, 0, cell_reps);
+  cell("gpu/fig2", "cc_sv_mta", "gpu:procs=4", cc_n, 8 * cc_n, cell_reps);
 
   // Width pairs: one CC cell at the densest fig2 shape (m = 20n, so
   // the graft phase has enough 64-edge chunks to fill 8 processors' lanes)
@@ -309,15 +396,44 @@ static int bench_main() {
   for (const std::string arch : {"mta", "gpu", "smp"}) {
     const char* kernel = arch == "smp" ? "cc_sv_smp" : "cc_sv_mta";
     for (const int procs : {1, 8}) {
-      results.push_back(bench_machine_cell(
-          arch + "/fig2_p" + std::to_string(procs), kernel,
-          arch + ":procs=" + std::to_string(procs), layout, width_n,
-          20 * width_n, width_reps));
+      cell(arch + "/fig2_p" + std::to_string(procs), kernel,
+           arch + ":procs=" + std::to_string(procs), width_n, 20 * width_n,
+           width_reps);
     }
   }
 
-  Table table({"benchmark", "ops", "seconds", "Mops/sec", "heap pushes",
-               "events", "fused", "threads", "frames"},
+  // Synthetic per-lane series: ns per lane-op of each op kind.
+  const i64 lane_rounds = scale == bench::Scale::kQuick ? 16 : 64;
+  for (const auto& [label, op] :
+       {std::pair{"compute", LaneOp::kCompute},
+        std::pair{"coalesced_load", LaneOp::kCoalescedLoad},
+        std::pair{"scattered_load", LaneOp::kScatteredLoad},
+        std::pair{"fetch_add", LaneOp::kFetchAdd}}) {
+    series.push_back([=] {
+      return bench_gpu_lanes(label, op, lane_rounds, cell_reps);
+    });
+  }
+
+  std::vector<std::vector<Result>> runs(series.size());
+  for (usize run = 0; run < kRuns; ++run) {
+    for (usize i = 0; i < series.size(); ++i) {
+      runs[i].push_back(series[i]());
+    }
+  }
+  std::vector<Result> results;
+  for (std::vector<Result>& r : runs) {
+    std::sort(r.begin(), r.end(), [](const Result& a, const Result& b) {
+      return a.seconds < b.seconds;
+    });
+    Result median = r[r.size() / 2];
+    median.seconds_min = r.front().seconds;
+    median.seconds_max = r.back().seconds;
+    results.push_back(median);
+  }
+
+  Table table({"benchmark", "ops", "seconds", "min", "max", "Mops/sec",
+               "heap pushes", "events", "fused", "threads", "frames",
+               "ns/lane-op"},
               3);
   bench::BenchJson bj("host_sim");
   for (const Result& r : results) {
@@ -325,16 +441,26 @@ static int bench_main() {
         .add(r.name)
         .add(static_cast<i64>(r.ops))
         .add(r.seconds)
+        .add(r.seconds_min)
+        .add(r.seconds_max)
         .add(r.ops_per_sec() / 1e6)
         .add(r.heap_pushes >= 0 ? std::to_string(r.heap_pushes) : "-")
         .add(r.events >= 0 ? std::to_string(r.events) : "-")
         .add(r.fused >= 0 ? std::to_string(r.fused) : "-")
         .add(r.threads >= 0 ? std::to_string(r.threads) : "-")
         .add(r.frames >= 0 ? std::to_string(r.frames) : "-");
+    if (r.lane_ops >= 0) {
+      table.add(r.ns_per_lane_op());
+    } else {
+      table.add("-");
+    }
     bj.record([&](obs::JsonWriter& w) {
       w.field("benchmark", r.name)
           .field("ops", static_cast<i64>(r.ops))
           .field("seconds", r.seconds)
+          .field("seconds_min", r.seconds_min)
+          .field("seconds_max", r.seconds_max)
+          .field("runs", static_cast<i64>(kRuns))
           .field("ops_per_sec", r.ops_per_sec());
       if (r.heap_pushes >= 0) w.field("heap_pushes", r.heap_pushes);
       if (r.events >= 0) {
@@ -342,6 +468,10 @@ static int bench_main() {
             .field("fused", r.fused)
             .field("threads", r.threads)
             .field("frames", r.frames);
+      }
+      if (r.lane_ops >= 0) {
+        w.field("lane_ops", r.lane_ops)
+            .field("ns_per_lane_op", r.ns_per_lane_op());
       }
     });
   }

@@ -20,6 +20,9 @@ void validate(const GpuConfig& c) {
                std::to_string(c.warps_per_processor) + ")");
   AG_CHECK(c.warp_width >= 1, "GpuConfig.warp_width must be >= 1 (got " +
                                   std::to_string(c.warp_width) + ")");
+  AG_CHECK(c.warp_width <= 64,
+           "GpuConfig.warp_width must be <= 64, the widest lane mask (got " +
+               std::to_string(c.warp_width) + ")");
   AG_CHECK(c.memory_latency >= 2,
            "GpuConfig.memory_latency must cover the round trip (>= 2, got " +
                std::to_string(c.memory_latency) + ")");
@@ -69,6 +72,12 @@ GpuMachine::GpuMachine(GpuConfig config)
   if (std::has_single_bit(static_cast<u64>(config_.smem_words))) {
     smem_mask_ = config_.smem_words - 1;
   }
+  bank_load_.assign(config_.smem_banks, 0);
+  // At most warp_width segments per group, so the set stays at most half
+  // full and a probe ends within a slot or two.
+  const u64 seg_slots = std::bit_ceil(2 * u64{config_.warp_width});
+  seg_set_.assign(seg_slots, SegSlot{});
+  seg_hash_shift_ = 64 - static_cast<u32>(std::countr_zero(seg_slots));
 }
 
 bool GpuMachine::smem_probe(Sm& sm, Addr addr, bool fill) {
@@ -152,12 +161,12 @@ void GpuMachine::handle(const Event& e) {
       attempt_sync_retry(static_cast<u32>(e.payload), e.time);
       break;
     case kBatch: {
-      // A whole compute or global-memory issue group lands together. The
-      // group is exactly the warp's lanes still in kWaitMemory on this op
-      // kind: other lanes either finished, parked on a tag/barrier
-      // (different kind or status), or belong to a different group of this
-      // round (groups are partitioned by kind). Ascending-tid replay
-      // matches the order the per-lane events popped in.
+      // A whole compute or global-memory issue group lands together: the
+      // lanes of Warp::landing for its kind, recorded at issue. No other
+      // event touches them while they fly (only parked, barrier-released
+      // or unadmitted lanes are resumed elsewhere), so the mask is exactly
+      // the warp's lanes still in kWaitMemory on this kind. Ascending-tid
+      // replay matches the order the per-lane events popped in.
       //
       // The per-lane acct_complete/maybe_enqueue_warp calls are hoisted
       // out of the loop: all group lanes share one SM and one op kind, so
@@ -171,13 +180,9 @@ void GpuMachine::handle(const Event& e) {
       Warp& w = warps_[wid];
       Ledger& acct = ledgers_[w.sm];
       settle(acct, e.time);
-      const bool mem = kind == OpKind::kLoad || kind == OpKind::kStore ||
-                       kind == OpKind::kFetchAdd;
-      for (u32 tid = w.first; tid < w.last; ++tid) {
-        if (status_of(tid) != ThreadState::Status::kWaitMemory ||
-            pending_kind(tid) != kind) {
-          continue;
-        }
+      const bool mem = kind != OpKind::kCompute;
+      for (u64 m = w.landing[landing_slot(kind)]; m != 0; m &= m - 1) {
+        const u32 tid = w.first + static_cast<u32>(std::countr_zero(m));
         if (mem) {
           --acct.acct_mem;  // the lane's global round trip landed
         }
@@ -269,62 +274,50 @@ void GpuMachine::handle_issue(u32 sm_id, Cycle now) {
   Ledger& acct = ledgers_[sm_id];
   settle(acct, now);
 
-  runnable_lanes_.clear();
-  for (u32 tid = w.first; tid < w.last; ++tid) {
-    if (status_of(tid) == ThreadState::Status::kRunnable) {
-      runnable_lanes_.push_back(tid);
-    }
+  // One pass over the lanes: the runnable mask (bit i = tid w.first + i)
+  // and, per op kind, the runnable lanes presenting it.
+  const u8* status = thread_status_.data() + w.first;
+  const u8* kinds = pending_kind_.data() + w.first;
+  const u32 width = w.last - w.first;
+  constexpr auto kRunnable = static_cast<u8>(ThreadState::Status::kRunnable);
+  std::array<u64, static_cast<usize>(OpKind::kDone) + 1> by_kind{};
+  u64 runnable = 0;
+  for (u32 i = 0; i < width; ++i) {
+    const u64 bit = u64{status[i] == kRunnable} << i;
+    runnable |= bit;
+    by_kind[kinds[i]] |= bit;
   }
-  AG_CHECK(!runnable_lanes_.empty(), "warp queued with no runnable lane");
+  AG_CHECK(runnable != 0, "warp queued with no runnable lane");
 
-  // Divergence split: partition the runnable lanes by the operation they
-  // present, in first-appearance order over ascending lane id. A convergent
-  // warp forms one group; divergent paths issue serially, and every group
-  // after the first charges its slots to kDivergenceSerial.
-  std::array<OpKind, 8> kinds{};
-  usize kind_count = 0;
-  for (const u32 tid : runnable_lanes_) {
-    const OpKind k = pending_kind(tid);
-    bool seen = false;
-    for (usize i = 0; i < kind_count; ++i) {
-      if (kinds[i] == k) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) {
-      kinds[kind_count++] = k;
-    }
-  }
-
+  // Divergence split: the runnable lanes partition by the operation they
+  // present, in first-appearance order over ascending lane id — each group
+  // is the kind of the lowest lane not yet issued. A convergent warp forms
+  // one group; divergent paths issue serially, and every group after the
+  // first charges its slots to kDivergenceSerial.
   Cycle t = now;
-  for (usize gi = 0; gi < kind_count; ++gi) {
-    const OpKind kind = kinds[gi];
-    const CycleCat base_cat =
-        gi == 0 ? CycleCat::kIssued : CycleCat::kDivergenceSerial;
-    group_lanes_.clear();
-    for (const u32 tid : runnable_lanes_) {
-      if (pending_kind(tid) == kind) {
-        group_lanes_.push_back(tid);
-      }
-    }
-    const auto lanes = static_cast<i64>(group_lanes_.size());
+  CycleCat base_cat = CycleCat::kIssued;
+  for (u64 rest = runnable; rest != 0;
+       base_cat = CycleCat::kDivergenceSerial) {
+    const auto kind = static_cast<OpKind>(kinds[std::countr_zero(rest)]);
+    const u64 group = by_kind[static_cast<usize>(kind)];
+    rest &= ~group;
+    const i64 lanes = std::popcount(group);
 
     switch (kind) {
       case OpKind::kCompute: {
         // Lockstep ALU: the group occupies the SM for the longest lane's
         // slot count; every lane rides along for all of it.
         i64 v = 1;
-        for (const u32 tid : group_lanes_) {
-          v = std::max(v, std::max<i64>(threads_[tid]->pending.value, 1));
+        for (u64 m = group; m != 0; m &= m - 1) {
+          const u32 tid = w.first + static_cast<u32>(std::countr_zero(m));
+          v = std::max(v, threads_[tid]->pending.value);
+          set_status(tid, ThreadState::Status::kWaitMemory);
         }
         claim(acct, base_cat, t + v);
         stats_.instructions += v;
         sm.issued += v;
-        for (const u32 tid : group_lanes_) {
-          set_status(tid, ThreadState::Status::kWaitMemory);
-          ++w.in_flight;
-        }
+        w.in_flight += static_cast<u32>(lanes);
+        w.landing[landing_slot(kind)] = group;
         events_.push(t + v, kBatch,
                      (static_cast<u64>(wid) << 4) | static_cast<u64>(kind));
         t += v;
@@ -337,53 +330,51 @@ void GpuMachine::handle_issue(u32 sm_id, Cycle now) {
         // serviced there, bank conflicts serialize); the missing lanes'
         // addresses merge into aligned mem_seg_bytes segments — one global
         // transaction per distinct segment. Atomics bypass the scratchpad
-        // and always serialize one transaction per lane.
-        segments_.clear();
-        bank_load_.assign(config_.smem_banks, 0);
-        u32 smem_lanes = 0;
+        // and always serialize one transaction per lane. One pass per
+        // lane: probe, segment, profiler hook, then the data effect, which
+        // applies at issue in lane order so fetch-add sequences within a
+        // warp are deterministic.
+        const bool atomic = kind == OpKind::kFetchAdd;
+        clear_segments();
+        usize last_seg = ~usize{0};
+        i64 segments = 0;
+        u64 smem_hits = 0;
         u32 max_bank = 0;
-        i64 atomic_lanes = 0;
-        for (const u32 tid : group_lanes_) {
-          const Addr addr = threads_[tid]->pending.addr;
+        for (u64 m = group; m != 0; m &= m - 1) {
+          const u32 lane = static_cast<u32>(std::countr_zero(m));
+          const u32 tid = w.first + lane;
+          Operation& op = threads_[tid]->pending;
           const bool smem_hit =
-              kind != OpKind::kFetchAdd && smem_probe(sm, addr, /*fill=*/true);
+              !atomic && smem_probe(sm, op.addr, /*fill=*/true);
           if (smem_hit) {
-            ++smem_lanes;
-            const usize bank =
-                bank_mask_ != 0
-                    ? static_cast<usize>(addr & bank_mask_)
-                    : static_cast<usize>(addr % config_.smem_banks);
-            max_bank = std::max(max_bank, ++bank_load_[bank]);
-          } else if (kind == OpKind::kFetchAdd) {
-            ++atomic_lanes;  // atomics never coalesce: one transaction each
-          } else {
-            // Distinct-segment collection. At most warp_width entries, so a
-            // linear probe beats sort+unique; consecutive lanes usually share
-            // a segment (coalesced stride), so check the newest entry first.
-            const usize seg = segment_of(addr);
-            if (segments_.empty() || segments_.back() != seg) {
-              bool seen = false;
-              for (const usize s : segments_) {
-                if (s == seg) {
-                  seen = true;
-                  break;
-                }
-              }
-              if (!seen) segments_.push_back(seg);
+            smem_hits |= u64{1} << lane;
+            max_bank = std::max(max_bank, ++bank_load_[bank_of(op.addr)]);
+          } else if (!atomic) {
+            // Consecutive lanes usually share a segment (coalesced
+            // stride), so the newest one is checked before the set.
+            const usize seg = segment_of(op.addr);
+            if (seg != last_seg) {
+              segments += insert_segment(seg);
+              last_seg = seg;
             }
           }
           if constexpr (Profiled) {
-            prof_hook_->on_access(addr,
+            prof_hook_->on_access(op.addr,
                                   smem_hit ? AccessClass::kL1Hit
-                                  : kind == OpKind::kFetchAdd
-                                      ? AccessClass::kRmw
-                                      : AccessClass::kMemRef,
+                                  : atomic ? AccessClass::kRmw
+                                           : AccessClass::kMemRef,
                                   kind != OpKind::kLoad);
           }
+          apply_data_effect(op);
+          set_status(tid, ThreadState::Status::kWaitMemory);
         }
-        const i64 transactions = kind == OpKind::kFetchAdd
-                                     ? atomic_lanes
-                                     : static_cast<i64>(segments_.size());
+        for (u64 m = smem_hits; m != 0; m &= m - 1) {
+          const u32 tid = w.first + static_cast<u32>(std::countr_zero(m));
+          bank_load_[bank_of(threads_[tid]->pending.addr)] = 0;
+        }
+        // Atomics never coalesce: one transaction each.
+        const i64 transactions = atomic ? lanes : segments;
+        const i64 smem_lanes = std::popcount(smem_hits);
         // One base slot, then the serialized extra transactions, then the
         // serialized extra bank passes.
         claim(acct, base_cat, t + 1);
@@ -401,17 +392,13 @@ void GpuMachine::handle_issue(u32 sm_id, Cycle now) {
         stats_.memory_ops += lanes;
         if (kind == OpKind::kLoad) stats_.loads += lanes;
         if (kind == OpKind::kStore) stats_.stores += lanes;
-        if (kind == OpKind::kFetchAdd) stats_.fetch_adds += lanes;
+        if (atomic) stats_.fetch_adds += lanes;
         stats_.l1_hits += smem_lanes;
         stats_.mem_fills += transactions;
-        // Data effects apply at issue in lane order, so fetch-add sequences
-        // within a warp are deterministic.
-        for (const u32 tid : group_lanes_) {
-          apply_data_effect(threads_[tid]->pending);
-          set_status(tid, ThreadState::Status::kWaitMemory);
-          ++w.in_flight;
-          ++acct.acct_mem;  // round trip in flight until the batch completion
-        }
+        w.in_flight += static_cast<u32>(lanes);
+        // Round trips in flight until the batch completion.
+        acct.acct_mem += static_cast<i32>(lanes);
+        w.landing[landing_slot(kind)] = group;
         // The whole group lands together: its slowest lane's round trip.
         const Cycle done = t + occ +
                            (transactions > 0 ? config_.memory_latency
@@ -436,7 +423,8 @@ void GpuMachine::handle_issue(u32 sm_id, Cycle now) {
         stats_.memory_ops += lanes;
         stats_.sync_ops += lanes;
         const Cycle group_end = t + lanes;
-        for (const u32 tid : group_lanes_) {
+        for (u64 m = group; m != 0; m &= m - 1) {
+          const u32 tid = w.first + static_cast<u32>(std::countr_zero(m));
           if (try_sync(tid, group_end)) {
             start_sync_flight(tid, group_end);
             ++w.in_flight;
@@ -450,7 +438,8 @@ void GpuMachine::handle_issue(u32 sm_id, Cycle now) {
         claim(acct, base_cat, t + 1);
         stats_.instructions += 1;
         sm.issued += 1;
-        for (const u32 tid : group_lanes_) {
+        for (u64 m = group; m != 0; m &= m - 1) {
+          const u32 tid = w.first + static_cast<u32>(std::countr_zero(m));
           barrier_arrive(tid, t + 1);  // parked until the release
         }
         t += 1;

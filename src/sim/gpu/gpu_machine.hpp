@@ -54,6 +54,7 @@
 // stays in [0, 1].
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "sim/machine.hpp"
@@ -64,7 +65,7 @@ namespace archgraph::sim {
 struct GpuConfig {
   u32 processors = 1;           // streaming multiprocessors (SMs)
   u32 warps_per_processor = 32; // resident warp slots per SM (occupancy)
-  u32 warp_width = 32;          // lanes per warp (lockstep width)
+  u32 warp_width = 32;          // lanes per warp (lockstep width), <= 64
   /// Global-memory round trip in cycles (HBM-class: hundreds of cycles at
   /// ~1 GHz; the whole warp stalls for it unless other warps cover it).
   Cycle memory_latency = 300;
@@ -89,10 +90,11 @@ struct GpuConfig {
 };
 
 /// Rejects configurations the model cannot simulate (zero processors, warps
-/// or lanes, a coalescing segment smaller than a word or not word-aligned,
-/// non-positive latencies or clock); throws std::logic_error naming the
-/// offending GpuConfig field. Called by the GpuMachine constructor and by
-/// the machine-spec factory before it.
+/// or lanes, more than 64 lanes — the widest real wavefront and the width of
+/// the issue loop's lane masks —, a coalescing segment smaller than a word or
+/// not word-aligned, non-positive latencies or clock); throws
+/// std::logic_error naming the offending GpuConfig field. Called by the
+/// GpuMachine constructor and by the machine-spec factory before it.
 void validate(const GpuConfig& config);
 
 class GpuMachine final : public Machine {
@@ -123,6 +125,21 @@ class GpuMachine final : public Machine {
   // is exactly the order the per-lane events used to pop in.
   enum EventKind : u32 { kIssue, kComplete, kRetry, kBatch, kRelease };
 
+  /// The op kinds whose issue group lands as one kBatch event, each with its
+  /// slot in Warp::landing.
+  static constexpr usize landing_slot(OpKind kind) {
+    switch (kind) {
+      case OpKind::kLoad:
+        return 0;
+      case OpKind::kStore:
+        return 1;
+      case OpKind::kFetchAdd:
+        return 2;
+      default:
+        return 3;  // kCompute
+    }
+  }
+
   struct Warp {
     u32 first = 0;  // member lanes are the consecutive tids [first, last)
     u32 last = 0;
@@ -131,6 +148,11 @@ class GpuMachine final : public Machine {
     u32 in_flight = 0;  // lanes with an op in flight (blocks the next issue)
     bool resident = false;
     bool queued = false;  // sitting in the SM's ready fifo
+    /// Per batch kind (landing_slot), the lanes (bit i = tid first + i) of
+    /// the group whose kBatch event is pending. A warp issues only with
+    /// nothing in flight and its groups of one round have distinct kinds,
+    /// so at most one group per kind is in flight.
+    std::array<u64, 4> landing{};
   };
 
   struct Sm {
@@ -161,6 +183,31 @@ class GpuMachine final : public Machine {
   /// Scratchpad probe: true when `addr` currently tags its slot on `sm`
   /// (loads/stores only; misses fill the slot).
   bool smem_probe(Sm& sm, Addr addr, bool fill);
+  usize bank_of(Addr addr) const {
+    return bank_mask_ != 0 ? static_cast<usize>(addr & bank_mask_)
+                           : static_cast<usize>(addr % config_.smem_banks);
+  }
+  /// Opens an empty distinct-segment set for the next memory group.
+  void clear_segments() {
+    if (++seg_gen_ == 0) {  // stamps wrapped: forget every old one
+      for (SegSlot& slot : seg_set_) slot.gen = 0;
+      seg_gen_ = 1;
+    }
+  }
+  /// Adds `seg` to the open segment set; returns 1 if it was not in it yet.
+  u32 insert_segment(usize seg) {
+    const usize mask = seg_set_.size() - 1;
+    usize h = static_cast<usize>((seg * 0x9E3779B97F4A7C15ULL) >>
+                                 seg_hash_shift_);
+    while (seg_set_[h].gen == seg_gen_) {
+      if (seg_set_[h].seg == seg) {
+        return 0;
+      }
+      h = (h + 1) & mask;
+    }
+    seg_set_[h] = {seg, seg_gen_};
+    return 1;
+  }
   usize segment_of(Addr addr) const {
     // validate() guarantees mem_seg_bytes is word-aligned, so the quotient
     // form equals the byte form; pow2 geometry (every stock preset) turns
@@ -186,11 +233,17 @@ class GpuMachine final : public Machine {
   std::vector<Warp> warps_;
   std::vector<u32> ring_arena_;  // backs every SM's two rings
 
-  // Scratch buffers reused across issue rounds (kept out of the hot loop).
-  std::vector<u32> runnable_lanes_;
-  std::vector<u32> group_lanes_;
-  std::vector<usize> segments_;
+  // Per memory group: lanes per scratchpad bank (zeroed again after the
+  // group), and the distinct global segments as an open-addressed set of
+  // bit_ceil(2 x warp_width) slots, emptied by bumping a generation stamp.
   std::vector<u32> bank_load_;
+  struct SegSlot {
+    usize seg = 0;
+    u32 gen = 0;  // the slot holds `seg` only while gen == seg_gen_
+  };
+  std::vector<SegSlot> seg_set_;
+  u32 seg_gen_ = 0;
+  u32 seg_hash_shift_ = 0;  // 64 - log2(seg_set_.size()): top hash bits
 };
 
 }  // namespace archgraph::sim

@@ -3,6 +3,9 @@
 // warp-scheduler latency hiding, and block-at-a-time admission.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "common/prng.hpp"
 #include "sim/gpu/gpu_machine.hpp"
 #include "sim/memory.hpp"
@@ -76,7 +79,21 @@ TEST(GpuMachine, ValidateRejectsBadConfigs) {
   reject([](GpuConfig& c) { c.region_fork_cycles = -1; });
   reject([](GpuConfig& c) { c.barrier_overhead = -1; });
   reject([](GpuConfig& c) { c.clock_hz = 0; });
+  reject([](GpuConfig& c) { c.warp_width = 65; });  // wider than a lane mask
   validate(GpuConfig{});  // the defaults themselves are valid
+
+  GpuConfig widest;
+  widest.warp_width = 64;  // the widest real wavefront
+  validate(widest);
+  widest.warp_width = 65;
+  try {
+    validate(widest);
+    ADD_FAILURE() << "warp_width=65 was accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("GpuConfig.warp_width"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 GpuConfig one_warp_config(u32 width) {

@@ -180,6 +180,17 @@ TEST(MachineSpec, RejectionsNameTheBadField) {
   EXPECT_NE(seg.find("GpuConfig.mem_seg_bytes"), std::string::npos);
 }
 
+TEST(MachineSpec, GpuWarpWidthTopsOutAt64) {
+  // The issue loop keeps one bit per lane in a 64-bit mask.
+  EXPECT_EQ(parse_machine_spec("gpu:warp_width=64").gpu.warp_width, 64u);
+  const std::string width =
+      message_of([] { parse_machine_spec("gpu:warp_width=65"); });
+  EXPECT_NE(width.find("GpuConfig.warp_width must be <= 64"),
+            std::string::npos)
+      << width;
+  EXPECT_NE(width.find("got 65"), std::string::npos) << width;
+}
+
 TEST(MakeMachine, BuildsTheRequestedArchitecture) {
   const auto mta = make_machine("mta:procs=40");
   EXPECT_EQ(mta->processors(), 40u);
