@@ -1,4 +1,4 @@
-// Connected components — host-native implementations.
+// Connected components — sequential host references.
 //
 // The paper's second kernel. Labels are representative vertex ids: two
 // vertices get equal labels iff they are connected. All implementations
@@ -9,13 +9,11 @@
 //                      paper measures speedup against (union by size + path
 //                      halving).
 //   * cc_bfs, cc_dfs — traversal baselines over CSR (the DEC-Alpha DFS in
-//                      Greiner's study is the classic comparator).
-//   * cc_shiloach_vishkin — native parallel SV over the edge list, with the
-//                      SMP-style optimizations the paper cites (graft to the
-//                      smaller label, full shortcut per iteration, early
-//                      exit when no grafting happened).
+//                      Greiner's study is the classic comparator), and the
+//                      oracle for cc_union_find.
 //
-// The simulator versions (Alg. 2/3 of the paper) live in core/kernels/.
+// The parallel Shiloach–Vishkin kernels (Alg. 2/3 of the paper) run on the
+// simulated machines and live in core/kernels/.
 #pragma once
 
 #include <vector>
@@ -23,7 +21,6 @@
 #include "common/types.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/edge_list.hpp"
-#include "rt/thread_pool.hpp"
 
 namespace archgraph::core {
 
@@ -37,29 +34,9 @@ std::vector<NodeId> cc_bfs(const graph::CsrGraph& graph);
 /// Iterative DFS over CSR adjacency. O(n + m).
 std::vector<NodeId> cc_dfs(const graph::CsrGraph& graph);
 
-struct SvStats {
-  i64 iterations = 0;
-  i64 grafts = 0;
-};
-
-/// Parallel Shiloach–Vishkin over the edge list (threads from `pool`).
-/// Benign write races are implemented with relaxed atomics; convergence does
-/// not depend on which concurrent graft wins. Returns normalized labels.
-std::vector<NodeId> cc_shiloach_vishkin(rt::ThreadPool& pool,
-                                        const graph::EdgeList& graph,
-                                        SvStats* stats = nullptr);
-
 /// Normalizes arbitrary representative labels to min-vertex-per-component.
 /// Requires labels to be a fixed point (label[label[v]] == label[v]).
 void normalize_labels(std::vector<NodeId>& labels);
-
-/// Awerbuch–Shiloach connected components (paper ref. [1]; one of the
-/// algorithms Greiner's comparison implements). Star-detection plus
-/// conditional and unconditional star hooking, one pointer jump per
-/// iteration. Returns normalized labels.
-std::vector<NodeId> cc_awerbuch_shiloach(rt::ThreadPool& pool,
-                                         const graph::EdgeList& graph,
-                                         SvStats* stats = nullptr);
 
 /// First-fit greedy coloring in vertex-id order: color[v] is the smallest
 /// color unused by already-colored (lower-id) neighbors. O(n + m). This is
@@ -80,14 +57,5 @@ struct BfsForest {
 /// the schedule-independent part every simulated BFS must reproduce; parents
 /// are one valid tree among many. O(n + m).
 BfsForest bfs_tree_seq(const graph::CsrGraph& graph);
-
-/// "Random-mating" connected components in the style of Reif [33] and
-/// Phillips [30] (the third algorithm in Greiner's comparison): every root
-/// flips a coin; child roots hook onto adjacent parent roots, so no cycles
-/// can form; labels fully shortcut between rounds. Deterministic in `seed`.
-std::vector<NodeId> cc_random_mating(rt::ThreadPool& pool,
-                                     const graph::EdgeList& graph,
-                                     u64 seed = 0x9a7eULL,
-                                     SvStats* stats = nullptr);
 
 }  // namespace archgraph::core

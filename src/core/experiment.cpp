@@ -2,22 +2,6 @@
 
 namespace archgraph::core {
 
-sim::MtaConfig paper_mta_config(u32 processors) {
-  sim::MtaConfig config;
-  config.processors = processors;
-  // All remaining fields default to the §2.2 machine description (128
-  // streams, ~100-cycle latency, hashed banks, 220 MHz).
-  return config;
-}
-
-sim::SmpConfig paper_smp_config(u32 processors) {
-  sim::SmpConfig config;
-  config.processors = processors;
-  // Defaults are the §2.1 / E4500 description (16 KB direct-mapped L1, 4 MB
-  // 4-way L2, 64 B lines, ~130-cycle memory, software barriers, 400 MHz).
-  return config;
-}
-
 Measurement snapshot(const sim::Machine& machine) {
   Measurement m;
   m.seconds = machine.seconds();

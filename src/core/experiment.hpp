@@ -1,20 +1,11 @@
-// Experiment-level helpers: the paper's two machine configurations and a
-// measurement snapshot type shared by the benches and examples.
+// Experiment-level helpers: a measurement snapshot type shared by the benches
+// and examples. The paper's machine presets are the machine specs "mta" and
+// "smp" (sim/machine_spec.hpp).
 #pragma once
 
 #include "sim/machine.hpp"
-#include "sim/mta/mta_machine.hpp"
-#include "sim/smp/smp_machine.hpp"
 
 namespace archgraph::core {
-
-/// Cray MTA-2 as described in §2.2: 220 MHz, 128 streams/processor, ~100
-/// cycle memory latency, hashed banks, cheap fine-grain synchronization.
-sim::MtaConfig paper_mta_config(u32 processors);
-
-/// Sun E4500 as described in §2.1: 400 MHz UltraSPARC II, 16 KB direct-mapped
-/// L1, 4 MB L2, 64 B lines, shared bus, software barriers.
-sim::SmpConfig paper_smp_config(u32 processors);
 
 struct Measurement {
   double seconds = 0.0;

@@ -41,20 +41,6 @@ EdgeList random_graph(NodeId n, i64 m, u64 seed) {
   return g;
 }
 
-EdgeList gnp_graph(NodeId n, double prob, u64 seed) {
-  AG_CHECK(prob >= 0.0 && prob <= 1.0, "probability out of range");
-  EdgeList g(n);
-  Prng rng(seed);
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = u + 1; v < n; ++v) {
-      if (rng.uniform() < prob) {
-        g.add_edge(u, v);
-      }
-    }
-  }
-  return g;
-}
-
 EdgeList mesh2d(NodeId rows, NodeId cols) {
   AG_CHECK(rows >= 1 && cols >= 1, "mesh needs positive dimensions");
   EdgeList g(rows * cols);
@@ -64,25 +50,6 @@ EdgeList mesh2d(NodeId rows, NodeId cols) {
     for (NodeId c = 0; c < cols; ++c) {
       if (c + 1 < cols) g.add_edge(id(r, c), id(r, c + 1));
       if (r + 1 < rows) g.add_edge(id(r, c), id(r + 1, c));
-    }
-  }
-  return g;
-}
-
-EdgeList mesh3d(NodeId nx, NodeId ny, NodeId nz) {
-  AG_CHECK(nx >= 1 && ny >= 1 && nz >= 1, "mesh needs positive dimensions");
-  EdgeList g(nx * ny * nz);
-  g.reserve(3 * nx * ny * nz);
-  auto id = [ny, nz](NodeId x, NodeId y, NodeId z) {
-    return (x * ny + y) * nz + z;
-  };
-  for (NodeId x = 0; x < nx; ++x) {
-    for (NodeId y = 0; y < ny; ++y) {
-      for (NodeId z = 0; z < nz; ++z) {
-        if (x + 1 < nx) g.add_edge(id(x, y, z), id(x + 1, y, z));
-        if (y + 1 < ny) g.add_edge(id(x, y, z), id(x, y + 1, z));
-        if (z + 1 < nz) g.add_edge(id(x, y, z), id(x, y, z + 1));
-      }
     }
   }
   return g;

@@ -3,9 +3,9 @@
 // `random_graph` reproduces the paper's §5 workload: "we create a random graph
 // of n vertices and m edges by randomly adding m unique edges to the vertex
 // set" (LEDA-style G(n,m) without self-loops or duplicates). The mesh
-// generators reproduce the topologies of the DIMACS-challenge studies the
-// paper compares against (Krishnamurthy et al. saw speedup on 2D/3D meshes but
-// not on sparse random graphs); the structured families are mainly test and
+// generator reproduces a topology of the DIMACS-challenge studies the paper
+// compares against (Krishnamurthy et al. saw speedup on 2D/3D meshes but not
+// on sparse random graphs); the structured families are mainly test and
 // ablation inputs.
 #pragma once
 
@@ -18,15 +18,8 @@ namespace archgraph::graph {
 /// Requires m <= n*(n-1)/2. Deterministic in `seed`.
 EdgeList random_graph(NodeId n, i64 m, u64 seed);
 
-/// Erdős–Rényi G(n, prob) — each potential edge present independently.
-/// Only sensible for small n (used by property tests).
-EdgeList gnp_graph(NodeId n, double prob, u64 seed);
-
 /// 2D grid: rows x cols vertices, 4-neighbor connectivity.
 EdgeList mesh2d(NodeId rows, NodeId cols);
-
-/// 3D grid: nx x ny x nz vertices, 6-neighbor connectivity.
-EdgeList mesh3d(NodeId nx, NodeId ny, NodeId nz);
 
 /// Simple path 0-1-2-...-(n-1).
 EdgeList path_graph(NodeId n);

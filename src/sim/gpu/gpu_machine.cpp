@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 
 namespace archgraph::sim {
 
@@ -42,8 +43,9 @@ void validate(const GpuConfig& c) {
   AG_CHECK(c.barrier_overhead >= 0,
            "GpuConfig.barrier_overhead must be >= 0 (got " +
                std::to_string(c.barrier_overhead) + ")");
-  AG_CHECK(c.clock_hz > 0, "GpuConfig.clock_hz must be positive (got " +
-                               std::to_string(c.clock_hz) + ")");
+  AG_CHECK(std::isfinite(c.clock_hz) && c.clock_hz > 0,
+           "GpuConfig.clock_hz must be positive and finite (got " +
+               std::to_string(c.clock_hz) + ")");
 }
 
 GpuMachine::GpuMachine(GpuConfig config)

@@ -36,6 +36,9 @@ double parse_num(std::string_view key, std::string_view value) {
   AG_CHECK(ec == std::errc{} && ptr == end,
            "machine spec value for '" + std::string(key) +
                "' is not a number: '" + std::string(value) + "'");
+  AG_CHECK(std::isfinite(out), "machine spec value for '" + std::string(key) +
+                                   "' must be finite: '" + std::string(value) +
+                                   "'");
   return out;
 }
 
@@ -43,7 +46,11 @@ u64 parse_kb(std::string_view key, std::string_view value) {
   const double kb = parse_num(key, value);
   AG_CHECK(kb >= 0, "machine spec value for '" + std::string(key) +
                         "' must be >= 0: '" + std::string(value) + "'");
-  return static_cast<u64>(std::llround(kb * 1024.0));
+  const double bytes = std::round(kb * 1024.0);
+  AG_CHECK(bytes < 0x1p64, "machine spec value for '" + std::string(key) +
+                               "' is more bytes than a u64 holds: '" +
+                               std::string(value) + "'");
+  return static_cast<u64>(bytes);
 }
 
 bool parse_flag(std::string_view key, std::string_view value) {

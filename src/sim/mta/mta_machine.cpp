@@ -1,6 +1,7 @@
 #include "sim/mta/mta_machine.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/prng.hpp"
 
@@ -27,8 +28,9 @@ void validate(const MtaConfig& c) {
   AG_CHECK(c.nonuniform_extra >= 0,
            "MtaConfig.nonuniform_extra must be >= 0 (got " +
                std::to_string(c.nonuniform_extra) + ")");
-  AG_CHECK(c.clock_hz > 0, "MtaConfig.clock_hz must be positive (got " +
-                               std::to_string(c.clock_hz) + ")");
+  AG_CHECK(std::isfinite(c.clock_hz) && c.clock_hz > 0,
+           "MtaConfig.clock_hz must be positive and finite (got " +
+               std::to_string(c.clock_hz) + ")");
 }
 
 MtaMachine::MtaMachine(MtaConfig config)

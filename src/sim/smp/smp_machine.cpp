@@ -1,6 +1,7 @@
 #include "sim/smp/smp_machine.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace archgraph::sim {
 
@@ -19,14 +20,27 @@ void validate(const SmpConfig& c) {
                                std::to_string(c.l1_ways) + ")");
   AG_CHECK(c.l2_ways >= 1, "SmpConfig.l2_ways must be >= 1 (got " +
                                std::to_string(c.l2_ways) + ")");
-  AG_CHECK(c.l1_bytes > 0 && c.l1_bytes % (c.line_bytes * c.l1_ways) == 0,
+  // Divided in two steps: line_bytes * ways can overflow a u64.
+  AG_CHECK(c.l1_bytes > 0 && c.l1_bytes % c.line_bytes == 0 &&
+               c.l1_bytes / c.line_bytes % c.l1_ways == 0,
            "SmpConfig.l1_bytes must be a positive multiple of line_bytes * "
            "l1_ways (got " +
                std::to_string(c.l1_bytes) + ")");
-  AG_CHECK(c.l2_bytes > 0 && c.l2_bytes % (c.line_bytes * c.l2_ways) == 0,
+  AG_CHECK(c.l2_bytes > 0 && c.l2_bytes % c.line_bytes == 0 &&
+               c.l2_bytes / c.line_bytes % c.l2_ways == 0,
            "SmpConfig.l2_bytes must be a positive multiple of line_bytes * "
            "l2_ways (got " +
                std::to_string(c.l2_bytes) + ")");
+  AG_CHECK(c.l1_bytes / c.line_bytes <= Cache::kMaxLines,
+           "SmpConfig.l1_bytes holds more lines than a cache tag can name "
+           "(at most " +
+               std::to_string(Cache::kMaxLines) + "; got " +
+               std::to_string(c.l1_bytes / c.line_bytes) + ")");
+  AG_CHECK(c.l2_bytes / c.line_bytes <= Cache::kMaxLines,
+           "SmpConfig.l2_bytes holds more lines than a cache tag can name "
+           "(at most " +
+               std::to_string(Cache::kMaxLines) + "; got " +
+               std::to_string(c.l2_bytes / c.line_bytes) + ")");
   AG_CHECK(c.l1_latency >= 1, "SmpConfig.l1_latency must be >= 1 (got " +
                                   std::to_string(c.l1_latency) + ")");
   AG_CHECK(c.l2_latency >= 1, "SmpConfig.l2_latency must be >= 1 (got " +
@@ -57,8 +71,9 @@ void validate(const SmpConfig& c) {
   AG_CHECK(c.region_fork_cycles >= 0,
            "SmpConfig.region_fork_cycles must be >= 0 (got " +
                std::to_string(c.region_fork_cycles) + ")");
-  AG_CHECK(c.clock_hz > 0, "SmpConfig.clock_hz must be positive (got " +
-                               std::to_string(c.clock_hz) + ")");
+  AG_CHECK(std::isfinite(c.clock_hz) && c.clock_hz > 0,
+           "SmpConfig.clock_hz must be positive and finite (got " +
+               std::to_string(c.clock_hz) + ")");
 }
 
 SmpMachine::SmpMachine(SmpConfig config)

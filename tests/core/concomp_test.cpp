@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <tuple>
-
 #include "graph/generators.hpp"
-#include "graph/validate.hpp"
 
 namespace archgraph::core {
 namespace {
@@ -62,73 +59,6 @@ TEST(NormalizeLabels, RejectsNonFixedPoint) {
   EXPECT_NO_THROW(normalize_labels(labels));
   std::vector<NodeId> bad{1, 0};  // labels[labels[0]] = labels[1] = 0 != 1
   EXPECT_THROW(normalize_labels(bad), std::logic_error);
-}
-
-class SvOnFamilies : public ::testing::TestWithParam<int> {};
-
-TEST_P(SvOnFamilies, MatchesUnionFind) {
-  rt::ThreadPool pool(4);
-  EdgeList g(0);
-  switch (GetParam()) {
-    case 0: g = graph::path_graph(100); break;
-    case 1: g = graph::cycle_graph(101); break;
-    case 2: g = graph::star_graph(64); break;
-    case 3: g = graph::binary_tree(127); break;
-    case 4: g = graph::mesh2d(12, 9); break;
-    case 5: g = graph::mesh3d(5, 5, 5); break;
-    case 6: g = graph::complete_graph(24); break;
-    case 7: g = graph::random_graph(500, 2000, 1); break;
-    case 8: g = graph::random_graph(500, 300, 2); break;  // disconnected
-    case 9: g = graph::disjoint_random_graphs(50, 100, 6, 3); break;
-    case 10: g = graph::rmat_graph(256, 1024, 0.55, 0.2, 0.1, 4); break;
-    case 11: g = EdgeList(10); break;  // no edges at all
-    default: FAIL();
-  }
-  const auto labels = cc_shiloach_vishkin(pool, g);
-  EXPECT_EQ(labels, cc_union_find(g));
-  EXPECT_TRUE(graph::validate::is_components_labeling(g, labels));
-}
-
-INSTANTIATE_TEST_SUITE_P(Families, SvOnFamilies, ::testing::Range(0, 12));
-
-TEST(ShiloachVishkin, ReportsIterationStats) {
-  rt::ThreadPool pool(2);
-  SvStats stats;
-  const EdgeList g = graph::random_graph(1000, 4000, 9);
-  cc_shiloach_vishkin(pool, g, &stats);
-  EXPECT_GE(stats.iterations, 1);
-  EXPECT_LE(stats.iterations, 25);
-  EXPECT_EQ(stats.grafts, 1000 - graph::validate::count_distinct_labels(
-                                     cc_union_find(g)));
-}
-
-TEST(ShiloachVishkin, PathGraphConvergesQuicklyWithFullShortcut) {
-  // With Alg. 3's full shortcut every iteration, even a 1024-path collapses
-  // in ~2 iterations: iteration 1 grafts every vertex onto its predecessor's
-  // root and the shortcut compresses the chain; iteration 2 finds nothing.
-  // (The log n iterations of the classic analysis apply to the single-level
-  // shortcut of Alg. 2 — the shortcut's inner pointer chase is where the
-  // depth goes here.)
-  rt::ThreadPool pool(2);
-  SvStats stats;
-  cc_shiloach_vishkin(pool, graph::path_graph(1024), &stats);
-  EXPECT_GE(stats.iterations, 2);
-  EXPECT_LE(stats.iterations, 12);
-}
-
-TEST(ShiloachVishkin, SingleVertex) {
-  rt::ThreadPool pool(2);
-  EXPECT_EQ(cc_shiloach_vishkin(pool, EdgeList(1)),
-            (std::vector<NodeId>{0}));
-}
-
-TEST(ShiloachVishkin, StressManySeeds) {
-  rt::ThreadPool pool(4);
-  for (u64 seed = 0; seed < 10; ++seed) {
-    const EdgeList g = graph::random_graph(200, 260, seed);
-    EXPECT_EQ(cc_shiloach_vishkin(pool, g), cc_union_find(g))
-        << "seed " << seed;
-  }
 }
 
 }  // namespace

@@ -10,14 +10,16 @@ namespace archgraph::core {
 namespace {
 
 TEST(ExperimentConfigs, MatchPaperMachineDescriptions) {
-  const sim::MtaConfig mta = paper_mta_config(8);
+  // The "mta" and "smp" spec presets are the paper's §2.2 Cray MTA-2 and
+  // §2.1 Sun E4500.
+  const sim::MtaConfig mta = sim::parse_machine_spec("mta:procs=8").mta;
   EXPECT_EQ(mta.processors, 8u);
   EXPECT_EQ(mta.streams_per_processor, 128u);
   EXPECT_NEAR(mta.memory_latency, 100, 50);
   EXPECT_DOUBLE_EQ(mta.clock_hz, 220e6);
   EXPECT_TRUE(mta.hash_addresses);
 
-  const sim::SmpConfig smp = paper_smp_config(8);
+  const sim::SmpConfig smp = sim::parse_machine_spec("smp:procs=8").smp;
   EXPECT_EQ(smp.processors, 8u);
   EXPECT_EQ(smp.l1_bytes, 16u * 1024);
   EXPECT_EQ(smp.l1_ways, 1u);  // direct-mapped

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -178,6 +179,55 @@ TEST(MachineSpec, RejectionsNameTheBadField) {
   const std::string seg =
       message_of([] { parse_machine_spec("gpu:mem_seg_bytes=12"); });
   EXPECT_NE(seg.find("GpuConfig.mem_seg_bytes"), std::string::npos);
+}
+
+TEST(MachineSpec, RejectsNonFiniteAndOversizedValues) {
+  // Every spec here is rejected by the parser, before any machine (and its
+  // caches) is allocated.
+  const std::string inf_clock =
+      message_of([] { parse_machine_spec("mta:clock_mhz=inf"); });
+  EXPECT_NE(inf_clock.find("'clock_mhz' must be finite"), std::string::npos)
+      << inf_clock;
+
+  // Finite in MHz, infinite once scaled to Hz.
+  const std::string huge_clock =
+      message_of([] { parse_machine_spec("gpu:clock_mhz=1e303"); });
+  EXPECT_NE(huge_clock.find("GpuConfig.clock_hz"), std::string::npos)
+      << huge_clock;
+
+  const std::string inf_l1 =
+      message_of([] { parse_machine_spec("smp:l1_kb=inf"); });
+  EXPECT_NE(inf_l1.find("'l1_kb' must be finite"), std::string::npos)
+      << inf_l1;
+
+  const std::string huge_l2 =
+      message_of([] { parse_machine_spec("smp:l2_kb=1e30"); });
+  EXPECT_NE(huge_l2.find("'l2_kb' is more bytes than a u64 holds"),
+            std::string::npos)
+      << huge_l2;
+
+  // Fits a u64, but no cache tag names that many lines.
+  const std::string many_lines =
+      message_of([] { parse_machine_spec("smp:l2_kb=1e15"); });
+  EXPECT_NE(many_lines.find("SmpConfig.l2_bytes holds more lines"),
+            std::string::npos)
+      << many_lines;
+
+  // line * l1_ways wraps to 0 in a u64; the divisibility check must not
+  // divide by it.
+  const std::string wrapped = message_of([] {
+    parse_machine_spec("smp:line=4611686018427387904,l1_ways=4");
+  });
+  EXPECT_NE(wrapped.find("SmpConfig.l1_bytes"), std::string::npos) << wrapped;
+
+  MtaConfig mta;
+  mta.clock_hz = std::numeric_limits<double>::infinity();
+  EXPECT_NE(message_of([&] { validate(mta); }).find("MtaConfig.clock_hz"),
+            std::string::npos);
+  SmpConfig smp;
+  smp.clock_hz = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(message_of([&] { validate(smp); }).find("SmpConfig.clock_hz"),
+            std::string::npos);
 }
 
 TEST(MachineSpec, GpuWarpWidthTopsOutAt64) {

@@ -4,18 +4,15 @@
 // breaks an argument breaks a test.
 #include <gtest/gtest.h>
 
-#include "core/experiment.hpp"
 #include "core/kernels/kernels.hpp"
 #include "graph/linked_list.hpp"
+#include "sim/machine_spec.hpp"
 #include "sim/memory.hpp"
 #include "sim/mta/mta_machine.hpp"
 #include "sim/smp/smp_machine.hpp"
 
 namespace archgraph::sim {
 namespace {
-
-using core::paper_mta_config;
-using core::paper_smp_config;
 
 Cycle mta_lr_cycles(MtaConfig cfg, const graph::LinkedList& list) {
   MtaMachine m(cfg);
@@ -33,7 +30,7 @@ TEST(ModelProperties, MtaCyclesNonincreasingInStreams) {
   const auto list = graph::random_list(1 << 14, 1);
   Cycle previous = 0;
   for (const u32 streams : {2u, 8u, 32u, 128u}) {
-    MtaConfig cfg = paper_mta_config(1);
+    MtaConfig cfg = parse_machine_spec("mta:procs=1").mta;
     cfg.streams_per_processor = streams;
     const Cycle c = mta_lr_cycles(cfg, list);
     if (previous != 0) {
@@ -47,7 +44,7 @@ TEST(ModelProperties, MtaCyclesIncreasingInLatencyAtLowParallelism) {
   const auto list = graph::random_list(1 << 13, 2);
   Cycle previous = 0;
   for (const Cycle latency : {50, 100, 200, 400}) {
-    MtaConfig cfg = paper_mta_config(1);
+    MtaConfig cfg = parse_machine_spec("mta:procs=1").mta;
     cfg.streams_per_processor = 4;  // too few to hide anything
     cfg.memory_latency = latency;
     const Cycle c = mta_lr_cycles(cfg, list);
@@ -57,7 +54,7 @@ TEST(ModelProperties, MtaCyclesIncreasingInLatencyAtLowParallelism) {
 }
 
 TEST(ModelProperties, MtaTimeRoughlyLinearInProblemSize) {
-  MtaConfig cfg = paper_mta_config(1);
+  MtaConfig cfg = parse_machine_spec("mta:procs=1").mta;
   const Cycle small = mta_lr_cycles(cfg, graph::random_list(1 << 14, 3));
   const Cycle large = mta_lr_cycles(cfg, graph::random_list(1 << 17, 3));
   const double ratio = static_cast<double>(large) / static_cast<double>(small);
@@ -70,7 +67,7 @@ TEST(ModelProperties, SmpCyclesNonincreasingInL2Size) {
   Cycle previous = 0;
   for (const u64 l2 : {128u * 1024, 512u * 1024, 2048u * 1024,
                        8192u * 1024}) {
-    SmpConfig cfg = paper_smp_config(1);
+    SmpConfig cfg = parse_machine_spec("smp:procs=1").smp;
     cfg.l2_bytes = l2;
     const Cycle c = smp_lr_cycles(cfg, list);
     if (previous != 0) {
@@ -84,7 +81,7 @@ TEST(ModelProperties, SmpCyclesIncreasingInMemoryLatency) {
   const auto list = graph::random_list(1 << 14, 5);
   Cycle previous = 0;
   for (const Cycle latency : {60, 120, 240, 480}) {
-    SmpConfig cfg = paper_smp_config(1);
+    SmpConfig cfg = parse_machine_spec("smp:procs=1").smp;
     cfg.l2_bytes = 128 * 1024;  // force misses
     cfg.memory_latency = latency;
     const Cycle c = smp_lr_cycles(cfg, list);
@@ -94,7 +91,7 @@ TEST(ModelProperties, SmpCyclesIncreasingInMemoryLatency) {
 }
 
 TEST(ModelProperties, SmpBiggerLinesHelpOrderedNotRandom) {
-  SmpConfig narrow = paper_smp_config(1);
+  SmpConfig narrow = parse_machine_spec("smp:procs=1").smp;
   narrow.l2_bytes = 256 * 1024;
   narrow.line_bytes = 32;
   SmpConfig wide = narrow;
@@ -166,12 +163,13 @@ TEST(ModelProperties, MtaLayoutInsensitiveSmpLayoutSensitive) {
   const auto ordered = graph::ordered_list(1 << 15);
   const auto random_l = graph::random_list(1 << 15, 7);
 
+  const MtaConfig mta = parse_machine_spec("mta:procs=1").mta;
   const double mta_ratio =
-      static_cast<double>(mta_lr_cycles(paper_mta_config(1), random_l)) /
-      static_cast<double>(mta_lr_cycles(paper_mta_config(1), ordered));
+      static_cast<double>(mta_lr_cycles(mta, random_l)) /
+      static_cast<double>(mta_lr_cycles(mta, ordered));
   EXPECT_LT(mta_ratio, 1.25);
 
-  SmpConfig cfg = paper_smp_config(1);
+  SmpConfig cfg = parse_machine_spec("smp:procs=1").smp;
   cfg.l2_bytes = 256 * 1024;
   const double smp_ratio = static_cast<double>(smp_lr_cycles(cfg, random_l)) /
                            static_cast<double>(smp_lr_cycles(cfg, ordered));
@@ -180,7 +178,7 @@ TEST(ModelProperties, MtaLayoutInsensitiveSmpLayoutSensitive) {
 
 TEST(ModelProperties, FasterClockMeansFewerSecondsSameCycles) {
   const auto list = graph::random_list(4096, 8);
-  MtaConfig slow = paper_mta_config(1);
+  MtaConfig slow = parse_machine_spec("mta:procs=1").mta;
   MtaConfig fast = slow;
   fast.clock_hz = 2 * slow.clock_hz;
   MtaMachine slow_m(slow), fast_m(fast);
