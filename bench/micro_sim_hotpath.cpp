@@ -13,8 +13,10 @@
 // records carry events (every event the machine handled) and fused (those it
 // kept outside the queue: the SMP's dispatch slots), so events/ops is events
 // per simulated instruction. They also carry threads (simulated threads
-// spawned) and frames (coroutine frames the host allocated for them); a
-// kernel runs one frame per thread, so frames == threads.
+// spawned), frames (coroutine frames the host allocated for them; a kernel
+// runs one frame per thread, so frames == threads) and frame_bytes (frame
+// bytes per simulated thread: the host footprint of one resident thread's
+// kernel state).
 //
 // Every series runs kRuns times, round-robin over the whole suite so a slow
 // stretch of the host spreads over all series; `seconds` is the median run,
@@ -68,6 +70,7 @@ struct Result {
   i64 fused = -1;
   i64 threads = -1;
   i64 frames = -1;
+  double frame_bytes = -1.0;  // per simulated thread
   i64 lane_ops = -1;  // -1: not a synthetic GPU lane series
   double seconds_min = 0.0;
   double seconds_max = 0.0;
@@ -213,6 +216,10 @@ Result bench_memory_tag_bits(u64 words, u64 passes) {
   return {"sim_memory/tag_bits_rw", 2 * words * passes, timer.seconds()};
 }
 
+double per_thread(u64 bytes, u64 threads) {
+  return threads > 0 ? static_cast<double>(bytes) / threads : 0.0;
+}
+
 /// Whole-machine throughput: run one fig1- or fig2-shaped sweep cell
 /// repeatedly on a fresh machine each time (exactly what sweep::run_plan
 /// does per cell) and report host simulated instructions/sec. This is the
@@ -235,6 +242,7 @@ Result bench_machine_cell(const std::string& label, const std::string& kernel,
   u64 fused = 0;
   u64 threads = 0;
   const u64 frames_before = sim::detail::frame_pool().allocations();
+  const u64 bytes_before = sim::detail::frame_pool().bytes();
   Timer timer;
   for (u64 r = 0; r < reps; ++r) {
     const auto mach = sim::make_machine(machine);
@@ -248,10 +256,13 @@ Result bench_machine_cell(const std::string& label, const std::string& kernel,
   }
   const double seconds = timer.seconds();
   const u64 frames = sim::detail::frame_pool().allocations() - frames_before;
-  return {"machine/" + label,          instructions,
-          seconds,                     static_cast<i64>(heap_pushes),
-          static_cast<i64>(events),    static_cast<i64>(fused),
-          static_cast<i64>(threads),   static_cast<i64>(frames)};
+  Result r{"machine/" + label,         instructions,
+           seconds,                    static_cast<i64>(heap_pushes),
+           static_cast<i64>(events),   static_cast<i64>(fused),
+           static_cast<i64>(threads),  static_cast<i64>(frames)};
+  r.frame_bytes = per_thread(sim::detail::frame_pool().bytes() - bytes_before,
+                             threads);
+  return r;
 }
 
 /// Op kinds of the synthetic GPU lane series.
@@ -275,6 +286,7 @@ Result bench_gpu_lanes(const std::string& label, LaneOp op, i64 rounds,
   u64 fused = 0;
   u64 threads = 0;
   const u64 frames_before = sim::detail::frame_pool().allocations();
+  const u64 bytes_before = sim::detail::frame_pool().bytes();
   Timer timer;
   for (u64 r = 0; r < reps; ++r) {
     sim::GpuMachine m{config};
@@ -319,6 +331,8 @@ Result bench_gpu_lanes(const std::string& label, LaneOp op, i64 rounds,
            seconds,                    static_cast<i64>(heap_pushes),
            static_cast<i64>(events),   static_cast<i64>(fused),
            static_cast<i64>(threads),  static_cast<i64>(frames)};
+  r.frame_bytes = per_thread(sim::detail::frame_pool().bytes() - bytes_before,
+                             threads);
   r.lane_ops = static_cast<i64>(reps) * lanes * rounds;
   return r;
 }
@@ -433,7 +447,7 @@ static int bench_main() {
 
   Table table({"benchmark", "ops", "seconds", "min", "max", "Mops/sec",
                "heap pushes", "events", "fused", "threads", "frames",
-               "ns/lane-op"},
+               "frame B", "ns/lane-op"},
               3);
   bench::BenchJson bj("host_sim");
   for (const Result& r : results) {
@@ -449,6 +463,11 @@ static int bench_main() {
         .add(r.fused >= 0 ? std::to_string(r.fused) : "-")
         .add(r.threads >= 0 ? std::to_string(r.threads) : "-")
         .add(r.frames >= 0 ? std::to_string(r.frames) : "-");
+    if (r.frame_bytes >= 0) {
+      table.add(r.frame_bytes);
+    } else {
+      table.add("-");
+    }
     if (r.lane_ops >= 0) {
       table.add(r.ns_per_lane_op());
     } else {
@@ -467,7 +486,8 @@ static int bench_main() {
         w.field("events", r.events)
             .field("fused", r.fused)
             .field("threads", r.threads)
-            .field("frames", r.frames);
+            .field("frames", r.frames)
+            .field("frame_bytes", r.frame_bytes);
       }
       if (r.lane_ops >= 0) {
         w.field("lane_ops", r.lane_ops)

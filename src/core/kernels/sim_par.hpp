@@ -30,7 +30,10 @@
 //   }
 //
 // The awaitables suspend the kernel's own frame with exactly the op the
-// hand-written loop would issue; none of them allocates.
+// hand-written loop would issue; none of them allocates. Like every Ctx op
+// (sim/task.hpp), each publishes its op in the thread's `pending` slot when
+// it is built and carries only what its resume needs: the ThreadState
+// pointer plus a bound or the Items cursor.
 #pragma once
 
 #include <algorithm>
@@ -59,26 +62,23 @@ inline Range static_block(i64 n, i64 worker, i64 workers) {
 }
 
 /// Awaitable returned by claim(): one fetch_add, resumed as the claimed
-/// Range.
+/// Range. The chunk is the fetch_add's delta, still in `pending.value`.
 struct ClaimAwaiter {
   sim::OpAwaiter op;
   i64 n;
-  i64 chunk;
 
   bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) noexcept {
-    op.await_suspend(h);
-  }
+  void await_suspend(std::coroutine_handle<> /*kernel*/) const noexcept {}
   Range await_resume() const noexcept {
     const i64 lo = op.await_resume();
-    return Range{lo, std::min(n, lo + chunk)};
+    return Range{lo, std::min(n, lo + op.ts->pending.value)};
   }
 };
 
 /// Claims [lo, min(lo + chunk, n)) with one fetch_add on `counter`; the
 /// range is empty once the counter has passed n.
 inline ClaimAwaiter claim(sim::Ctx ctx, sim::Addr counter, i64 n, i64 chunk) {
-  return ClaimAwaiter{ctx.fetch_add(counter, chunk), n, chunk};
+  return ClaimAwaiter{ctx.fetch_add(counter, chunk), n};
 }
 
 /// How a claimed loop hands out iterations (the scheduling ablation knob).
@@ -111,14 +111,12 @@ class Items {
 
   struct Awaiter {
     Items& items;
-    sim::OpAwaiter op;
+    sim::OpAwaiter op;  // null once a static block is exhausted
 
     bool await_ready() const noexcept {
       return !items.dynamic_ && items.next_ >= items.end_;
     }
-    void await_suspend(std::coroutine_handle<> h) noexcept {
-      op.await_suspend(h);
-    }
+    void await_suspend(std::coroutine_handle<> /*kernel*/) const noexcept {}
     i64 await_resume() noexcept {
       if (items.dynamic_) {
         const i64 i = op.await_resume();
@@ -128,9 +126,16 @@ class Items {
     }
   };
 
+  /// An exhausted static block publishes nothing: await_ready() skips the
+  /// suspension, so no op is left in `pending` that the machine never sees.
   Awaiter next(sim::Ctx ctx) {
-    return Awaiter{*this, dynamic_ ? ctx.fetch_add(counter_, 1)
-                                   : ctx.compute(1)};  // local claim
+    if (dynamic_) {
+      return Awaiter{*this, ctx.fetch_add(counter_, 1)};
+    }
+    if (next_ < end_) {
+      return Awaiter{*this, ctx.compute(1)};  // the local claim
+    }
+    return Awaiter{*this, {}};
   }
 
  private:

@@ -24,7 +24,9 @@ void EventLog::emit(std::string_view name,
   w.begin_object().field("ts_us", elapsed_us()).field("event", name);
   if (fill) fill(w);
   w.end_object();
-  out_ << w.str() << '\n';
+  // One whole flushed line per event, like the JSONL records: a run killed
+  // mid-campaign (SIGPIPE, SIGKILL) keeps every event emitted before it.
+  out_ << w.str() << '\n' << std::flush;
   ++events_;
 }
 

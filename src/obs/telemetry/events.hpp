@@ -35,8 +35,10 @@ class EventLog {
 
   /// Emits one event line: {"ts_us": <monotonic>, "event": "<name>", ...}.
   /// `fill` (optional) appends the event's own fields to the already-open
-  /// object. Thread-safe; concurrent emitters serialize on one mutex, so
-  /// lines are never torn and timestamps are non-decreasing in file order.
+  /// object. The line is flushed before emit() returns, so a process killed
+  /// afterwards still leaves it in the file. Thread-safe; concurrent
+  /// emitters serialize on one mutex, so lines are never torn and
+  /// timestamps are non-decreasing in file order.
   void emit(std::string_view name,
             const std::function<void(JsonWriter&)>& fill = {});
 

@@ -8,9 +8,11 @@
 // set is the handful of frame shapes the active kernels use, served from
 // cache-warm memory.
 //
-// allocations() counts the frames handed out on this host thread. It is a
-// host-side regression guard (tests assert at most two frames per spawned
-// thread) and a bench counter; it never enters a simulated result.
+// allocations() counts the frames handed out on this host thread, and
+// bytes() their requested sizes (the compiler's frame sizes, before size
+// class rounding). They are host-side regression guards (tests bound frames
+// and frame bytes per spawned thread) and bench counters; they never enter
+// a simulated result.
 //
 // Thread safety: the pool is thread_local. A frame is always allocated and
 // freed on the thread simulating its region (spawn, resume, and region
@@ -37,6 +39,7 @@ class FramePool {
 
   void* alloc(usize size) {
     ++allocations_;
+    bytes_ += size;
     const usize cls = (size + kGranularity - 1) / kGranularity;
     if (cls >= kClasses) {
       return ::operator new(size);  // oversized frame: fall through
@@ -61,6 +64,8 @@ class FramePool {
 
   /// Frames allocated on this host thread so far.
   u64 allocations() const { return allocations_; }
+  /// Frame bytes requested on this host thread so far.
+  u64 bytes() const { return bytes_; }
 
   ~FramePool() {
     for (usize cls = 0; cls < kClasses; ++cls) {
@@ -80,6 +85,7 @@ class FramePool {
 
   std::array<FreeNode*, kClasses> free_{};
   u64 allocations_ = 0;
+  u64 bytes_ = 0;
 };
 
 inline FramePool& frame_pool() {

@@ -42,10 +42,23 @@ class SimMemory {
     bounds_check(a);
     return full_[a] != 0;
   }
+  /// While no word is empty every tag is already full, so setting one full
+  /// returns without touching the tag array: a plain store then costs one
+  /// host line (the data word), not two, in every kernel that never purges
+  /// a word.
   void set_full(Addr a, bool full) {
     bounds_check(a);
-    full_[a] = full ? 1 : 0;
+    if (full && empty_words_ == 0) {
+      return;
+    }
+    u8& tag = full_[a];
+    if (tag != static_cast<u8>(full)) {
+      tag = static_cast<u8>(full);
+      empty_words_ += full ? -1 : 1;
+    }
   }
+  /// Words whose tag is empty.
+  i64 empty_words() const { return empty_words_; }
 
  private:
   // Every simulated memory operation lands here, so release builds compile
@@ -60,6 +73,7 @@ class SimMemory {
 
   std::vector<i64> words_;
   std::vector<u8> full_;
+  i64 empty_words_ = 0;  // words whose full_ tag is 0
 };
 
 /// Typed view of a simulated array. T must be losslessly convertible through

@@ -47,7 +47,10 @@ MtaMachine::MtaMachine(MtaConfig config)
                .release_event = kRelease}),
       config_(config) {
   validate(config_);
+  // An odd latency puts its extra cycle on the response leg, so every
+  // round trip totals exactly memory_latency.
   net_half_ = config_.memory_latency / 2;
+  net_back_ = config_.memory_latency - net_half_;
 }
 
 usize MtaMachine::bank_of(Addr addr) const {
@@ -286,7 +289,7 @@ Cycle MtaMachine::service_memory(Operation& op, Cycle issue_time, u32 proc) {
   // Data effect applied at service (event order == issue order, so
   // fetch-add sequences are deterministic).
   apply_data_effect(op);
-  return start + 1 + net_half_ + extra;
+  return start + 1 + net_back_ + extra;
 }
 
 void MtaMachine::attempt_sync(u32 tid, Cycle arrival) {
@@ -301,7 +304,7 @@ void MtaMachine::attempt_sync(u32 tid, Cycle arrival) {
     return;  // parked on the word until its tag flips
   }
   start_sync_flight(tid, arrival);
-  events_.push(start + 1 + net_half_ + extra, kComplete, tid);
+  events_.push(start + 1 + net_back_ + extra, kComplete, tid);
 }
 
 std::vector<ProfGaugeInfo> MtaMachine::prof_gauge_info() const {

@@ -137,7 +137,8 @@ class MtaMachine final : public Machine {
   usize bank_of(Addr addr) const;
 
   MtaConfig config_;
-  Cycle net_half_;  // one-way network latency
+  Cycle net_half_;  // request leg: memory_latency / 2
+  Cycle net_back_;  // response leg: the rest of memory_latency
 
   // Region-scoped state (reset by open_region()).
   std::vector<Processor> procs_;

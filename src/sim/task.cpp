@@ -4,16 +4,6 @@
 
 namespace archgraph::sim {
 
-void ThreadState::advance() {
-  AG_DCHECK(handle && !handle.done(), "advancing a finished thread");
-  // NOTE: `pending` must stay intact across the resume — the suspended
-  // OpAwaiter reads pending.result as the value of its co_await. The resume
-  // then either suspends at the next OpAwaiter (overwriting `pending`) or
-  // runs to completion (final_suspend sets kDone).
-  handle.resume();
-  AG_DCHECK(pending.kind != OpKind::kNone, "kernel suspended without an op");
-}
-
 SimThread& SimThread::operator=(SimThread&& other) noexcept {
   if (this != &other) {
     if (handle_) {

@@ -18,11 +18,30 @@
 // loops inline and share loop shapes through plain awaitables that wrap an
 // OpAwaiter (core/kernels/sim_par.hpp), never through nested coroutines: a
 // nest would model nothing and cost the host a frame and a resume per level.
+//
+// Op publication. Each Ctx op writes its Operation into the thread's
+// `pending` slot when it is *called*, and returns an OpAwaiter that holds
+// only the ThreadState pointer; suspending does nothing more. GCC gives every
+// co_await its own frame slot for the awaiter, so a pointer-sized awaiter
+// instead of one carrying a whole Operation roughly halves each kernel's
+// frame. The protocol is safe because:
+//   * `pending` stays intact across the resume: the suspended OpAwaiter reads
+//     pending.result as the value of its co_await in await_resume, before
+//     the kernel can call its next op (which overwrites `pending`), and the
+//     resume ends at that next op's suspension or at final_suspend (kDone);
+//   * no kernel builds two ops before awaiting the first (no expression
+//     holds two co_awaits, and awaiters are never stored), so a published
+//     op is always the one the next suspension hands the machine;
+//   * frames start suspended (initial_suspend), so nothing is published
+//     before the machine first advances the thread.
+// An awaitable that may skip its suspension (await_ready() true) publishes
+// nothing in that case; see simk::Items.
 #pragma once
 
 #include <coroutine>
 #include <exception>
 
+#include "common/check.hpp"
 #include "common/types.hpp"
 #include "sim/frame_pool.hpp"
 #include "sim/types.hpp"
@@ -53,8 +72,13 @@ struct ThreadState {
   u32 processor = 0;  // assigned by the machine at admission
 
   /// Resumes the coroutine until its next operation (or completion).
-  /// Afterwards `pending.kind` is the new op, or kDone.
-  void advance();
+  /// Afterwards `pending.kind` is the new op, or kDone. Inline: the machines
+  /// call it once per simulated operation.
+  void advance() {
+    AG_DCHECK(handle && !handle.done(), "advancing a finished thread");
+    handle.resume();
+    AG_DCHECK(pending.kind != OpKind::kNone, "kernel suspended without an op");
+  }
 };
 
 /// Coroutine return object. The machine takes ownership of the handle at
@@ -115,21 +139,22 @@ class SimThread {
   std::coroutine_handle<promise_type> handle_;
 };
 
-/// Awaitable returned by every Ctx operation. Suspension publishes the op in
-/// the thread's `pending` slot; the machine writes the result there before it
-/// resumes the frame.
+/// Awaitable returned by every Ctx operation. The op is already in the
+/// thread's `pending` slot (published by the Ctx call); the machine writes
+/// the result there before it resumes the frame.
 struct OpAwaiter {
   ThreadState* ts;
-  Operation op;
 
   bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> /*kernel*/) noexcept {
-    ts->pending = op;
-  }
+  void await_suspend(std::coroutine_handle<> /*kernel*/) const noexcept {}
   i64 await_resume() const noexcept { return ts->pending.result; }
 };
+static_assert(sizeof(OpAwaiter) == sizeof(ThreadState*),
+              "an OpAwaiter is one pointer: the op lives in ThreadState");
 
-/// Thread-side handle used inside kernels to issue operations.
+/// Thread-side handle used inside kernels to issue operations. Every op
+/// publishes itself in `pending` at the call (see the header comment), so
+/// call one only as the operand of its co_await.
 class Ctx {
  public:
   Ctx() = default;
@@ -139,35 +164,40 @@ class Ctx {
   u32 thread_id() const { return ts_->id; }
 
   OpAwaiter load(Addr a) const {
-    return {ts_, {.kind = OpKind::kLoad, .addr = a}};
+    return publish({.kind = OpKind::kLoad, .addr = a});
   }
   OpAwaiter store(Addr a, i64 v) const {
-    return {ts_, {.kind = OpKind::kStore, .addr = a, .value = v}};
+    return publish({.kind = OpKind::kStore, .addr = a, .value = v});
   }
   /// MTA readff: wait for full, read, leave full.
   OpAwaiter read_ff(Addr a) const {
-    return {ts_, {.kind = OpKind::kReadFF, .addr = a}};
+    return publish({.kind = OpKind::kReadFF, .addr = a});
   }
   /// MTA readfe: wait for full, read, set empty (consumes the value).
   OpAwaiter read_fe(Addr a) const {
-    return {ts_, {.kind = OpKind::kReadFE, .addr = a}};
+    return publish({.kind = OpKind::kReadFE, .addr = a});
   }
   /// MTA writeef: wait for empty, write, set full.
   OpAwaiter write_ef(Addr a, i64 v) const {
-    return {ts_, {.kind = OpKind::kWriteEF, .addr = a, .value = v}};
+    return publish({.kind = OpKind::kWriteEF, .addr = a, .value = v});
   }
   /// int_fetch_add: atomic add at the bank; returns the old value.
   OpAwaiter fetch_add(Addr a, i64 delta) const {
-    return {ts_, {.kind = OpKind::kFetchAdd, .addr = a, .value = delta}};
+    return publish({.kind = OpKind::kFetchAdd, .addr = a, .value = delta});
   }
   /// `slots` ALU instructions (each one issue slot / cycle).
   OpAwaiter compute(i64 slots = 1) const {
-    return {ts_, {.kind = OpKind::kCompute, .value = slots}};
+    return publish({.kind = OpKind::kCompute, .value = slots});
   }
   /// Region-wide barrier over all still-live threads.
-  OpAwaiter barrier() const { return {ts_, {.kind = OpKind::kBarrier}}; }
+  OpAwaiter barrier() const { return publish({.kind = OpKind::kBarrier}); }
 
  private:
+  OpAwaiter publish(const Operation& op) const {
+    ts_->pending = op;
+    return {ts_};
+  }
+
   ThreadState* ts_ = nullptr;
 };
 

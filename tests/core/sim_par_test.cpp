@@ -87,9 +87,10 @@ TEST(Claim, RangeIsClippedAndEmptyPastTheEnd) {
   // result is the old counter value.
   sim::ThreadState ts;
   const simk::ClaimAwaiter claim = simk::claim(Ctx{&ts}, 64, 100, 8);
-  EXPECT_EQ(claim.op.op.kind, sim::OpKind::kFetchAdd);
-  EXPECT_EQ(claim.op.op.addr, 64u);
-  EXPECT_EQ(claim.op.op.value, 8);
+  // claim() publishes its fetch_add in `pending` when it is called.
+  EXPECT_EQ(ts.pending.kind, sim::OpKind::kFetchAdd);
+  EXPECT_EQ(ts.pending.addr, 64u);
+  EXPECT_EQ(ts.pending.value, 8);
   ts.pending.result = 0;
   EXPECT_EQ(claim.await_resume().lo, 0);
   EXPECT_EQ(claim.await_resume().hi, 8);
@@ -184,6 +185,54 @@ TEST(ForEach, BothSchedulesComputeTheSameResult) {
     const bool dynamic = schedule == simk::Schedule::kDynamic;
     EXPECT_EQ(counter.get(0), dynamic ? 33 + 8 : 0);
     EXPECT_EQ(m->stats().instructions, 33 + (dynamic ? 33 + 8 : 33));
+  }
+}
+
+TEST(ForEach, StaticLoopIssuesNoPhantomOp) {
+  // Driven by hand: a static block of 2 items issues compute (the local
+  // claim) and store per item, then the exhausted claim skips its
+  // suspension and publishes nothing, so the thread's next op is kDone.
+  sim::ThreadState ts;
+  sim::SimMemory mem;
+  SimArray<i64> counter(mem, 1);
+  SimArray<i64> out(mem, 4);
+  SimThread t = for_each_kernel(Ctx{&ts}, 1, 2, simk::Schedule::kStatic,
+                                counter, out);
+  ts.handle = t.bind(&ts);
+  const std::vector<std::pair<sim::OpKind, i64>> expected{
+      {sim::OpKind::kCompute, 1}, {sim::OpKind::kStore, 4},
+      {sim::OpKind::kCompute, 1}, {sim::OpKind::kStore, 9},
+      {sim::OpKind::kDone, 0}};
+  for (const auto& [kind, value] : expected) {
+    ts.advance();
+    ASSERT_EQ(ts.pending.kind, kind);
+    EXPECT_EQ(ts.pending.value, value);
+  }
+  ts.handle.destroy();
+
+  // An exhausted Items publishes nothing: `pending` keeps its last op.
+  simk::Items empty(simk::Schedule::kStatic, counter.addr(0), 3, 4, 2);
+  ts.pending = sim::Operation{.kind = sim::OpKind::kLoad, .addr = 7};
+  EXPECT_TRUE(empty.next(Ctx{&ts}).await_ready());
+  EXPECT_EQ(ts.pending.kind, sim::OpKind::kLoad);
+  EXPECT_EQ(ts.pending.addr, 7u);
+}
+
+TEST(ForEach, StaticLoopIssuesExactlyTwoInstructionsPerItem) {
+  // More workers than items: the empty blocks issue nothing at all. (The
+  // GPU counts warp-instructions, so its total is not per thread.)
+  for (const char* machine : {"mta", "smp:procs=2"}) {
+    const auto m = sim::make_machine(machine);
+    SimArray<i64> counter(m->memory(), 1);
+    SimArray<i64> out(m->memory(), 3);
+    simk::spawn_workers(*m, 5, for_each_kernel, simk::Schedule::kStatic,
+                        counter, out);
+    m->run_region();
+    EXPECT_EQ(m->stats().instructions, 3 + 3) << machine;
+    EXPECT_EQ(m->stats().stores, 3) << machine;
+    for (i64 i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out.get(i), i * i) << machine;
+    }
   }
 }
 

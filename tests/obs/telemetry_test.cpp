@@ -203,6 +203,29 @@ TEST(EventLog, WritesOneValidJsonLinePerEvent) {
   EXPECT_EQ(lines, 2u);
 }
 
+TEST(EventLog, EachEventIsOnDiskAsSoonAsItIsEmitted) {
+  // A process killed mid-campaign (SIGPIPE from a closed stdout, SIGKILL)
+  // never reaches flush() or the destructor; every emitted line must
+  // already be in the file.
+  const std::string path =
+      testing::TempDir() + "/archgraph_events_unflushed.jsonl";
+  EventLog log(path);
+  for (i64 cell = 0; cell < 3; ++cell) {
+    log.emit("cell_finished", [&](JsonWriter& w) { w.field("cell", cell); });
+    std::ifstream in(path);
+    std::string line;
+    i64 lines = 0;
+    while (std::getline(in, line)) {
+      JsonValue doc;
+      std::string error;
+      ASSERT_TRUE(json_parse(line, &doc, &error)) << error;
+      EXPECT_EQ(doc.find("cell")->as_i64(), lines);
+      ++lines;
+    }
+    EXPECT_EQ(lines, cell + 1);
+  }
+}
+
 TEST(EventLog, ThrowsWhenPathCannotBeCreated) {
   EXPECT_THROW(EventLog("/nonexistent-dir-archgraph/events.jsonl"),
                std::logic_error);

@@ -50,6 +50,32 @@ TEST(SimMemory, WordsStartFull) {
   EXPECT_TRUE(mem.full(0));
 }
 
+TEST(SimMemory, CountsEmptyWords) {
+  SimMemory mem;
+  mem.alloc(4);
+  EXPECT_EQ(mem.empty_words(), 0);
+  mem.set_full(1, true);  // already full: no change
+  EXPECT_EQ(mem.empty_words(), 0);
+  mem.set_full(1, false);
+  mem.set_full(1, false);  // emptying an empty word counts once
+  mem.set_full(3, false);
+  EXPECT_EQ(mem.empty_words(), 2);
+  mem.set_full(2, true);  // a full word among empty ones stays full
+  EXPECT_TRUE(mem.full(2));
+  EXPECT_EQ(mem.empty_words(), 2);
+  mem.set_full(1, true);
+  EXPECT_TRUE(mem.full(1));
+  EXPECT_FALSE(mem.full(3));
+  EXPECT_EQ(mem.empty_words(), 1);
+  mem.alloc(8);  // fresh words start full
+  EXPECT_EQ(mem.empty_words(), 1);
+  mem.set_full(3, true);
+  EXPECT_EQ(mem.empty_words(), 0);
+  for (Addr a = 0; a < 4; ++a) {
+    EXPECT_TRUE(mem.full(a)) << a;
+  }
+}
+
 TEST(SimMemory, ZeroSizedAllocIsFine) {
   SimMemory mem;
   const Addr a = mem.alloc(0);

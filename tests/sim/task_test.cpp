@@ -118,6 +118,35 @@ TEST(SimTask, UnadoptedThreadCleansUpItsFrame) {
   SUCCEED();
 }
 
+TEST(SimTask, EachOpIsPublishedWhenItIsCalled) {
+  // The op reaches `pending` at the Ctx call, before any suspension: the
+  // awaiter itself carries nothing but the ThreadState pointer.
+  ThreadState ts;
+  const Ctx ctx{&ts};
+  // Each op is checked right after its call (the next call overwrites it).
+  const auto check = [&](OpAwaiter aw, OpKind kind, Addr addr, i64 value) {
+    EXPECT_EQ(aw.ts, &ts);
+    EXPECT_EQ(ts.pending.kind, kind);
+    EXPECT_EQ(ts.pending.addr, addr);
+    EXPECT_EQ(ts.pending.value, value);
+    EXPECT_EQ(ts.pending.result, 0);  // a fresh op carries no stale result
+    ts.pending.result = 99;           // as if the machine had serviced it
+  };
+  check(ctx.load(11), OpKind::kLoad, 11, 0);
+  check(ctx.store(12, -5), OpKind::kStore, 12, -5);
+  check(ctx.read_ff(13), OpKind::kReadFF, 13, 0);
+  check(ctx.read_fe(14), OpKind::kReadFE, 14, 0);
+  check(ctx.write_ef(15, 7), OpKind::kWriteEF, 15, 7);
+  check(ctx.fetch_add(16, 3), OpKind::kFetchAdd, 16, 3);
+  check(ctx.compute(4), OpKind::kCompute, 0, 4);
+  check(ctx.compute(), OpKind::kCompute, 0, 1);
+  check(ctx.barrier(), OpKind::kBarrier, 0, 0);
+  // The awaiter resumes with whatever result the machine wrote.
+  const OpAwaiter aw = ctx.load(1);
+  ts.pending.result = -42;
+  EXPECT_EQ(aw.await_resume(), -42);
+}
+
 TEST(SimTask, ThreadIdIsVisibleToKernels) {
   ThreadState ts;
   ts.id = 37;

@@ -103,6 +103,26 @@ TEST(MachineDeterminism, GoldenCyclesSurviveTheHotLoopRestructure) {
   }
 }
 
+TEST(MachineDeterminism, OddMtaLatencyLengthensTheResponseLeg) {
+  // The request leg is latency / 2 and the response leg the rest, so each
+  // extra latency cycle lengthens every round trip; 100 keeps its golden.
+  i64 last = 0;
+  for (const i64 latency : {100, 101, 102}) {
+    const std::string spec = "kernel=lr_hj machine=mta:procs=4,latency=" +
+                             std::to_string(latency) +
+                             " n=4096 layout=random seed=1";
+    const SweepPlan plan = expand_all({spec});
+    ASSERT_EQ(plan.cells.size(), 1u) << spec;
+    const ResultRecord r = to_record(run_cell(plan.cells[0]));
+    EXPECT_TRUE(r.verified) << spec;
+    if (latency == 100) {
+      EXPECT_EQ(r.cycles, 1269288);
+    }
+    EXPECT_GT(r.cycles, last) << spec;
+    last = r.cycles;
+  }
+}
+
 TEST(MachineDeterminism, ProfilerAttachmentKeepsTheGoldens) {
   // The profiled event loop is a separate instantiation of the hot loop —
   // it must simulate the same machine to the cycle.
