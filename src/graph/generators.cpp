@@ -1,6 +1,8 @@
 #include "graph/generators.hpp"
 
-#include <unordered_set>
+#include <algorithm>
+#include <bit>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/prng.hpp"
@@ -15,6 +17,35 @@ u64 pair_key(NodeId u, NodeId v) {
   return (static_cast<u64>(u) << 32) | static_cast<u64>(v);
 }
 
+/// Insert-only set of pair keys for the generators' edge dedupe: one flat
+/// open-addressing table of bit_ceil(2 x capacity) slots with linear
+/// probing, so it stays at most half full. Key 0 marks an empty slot, which
+/// is safe because pair_key(u, v) is 0 only for u == v == 0 and both
+/// generators reject u == v before asking.
+class PairSet {
+ public:
+  explicit PairSet(i64 capacity)
+      : slots_(std::bit_ceil(static_cast<u64>(std::max<i64>(2 * capacity, 2)))),
+        shift_(64 - std::countr_zero(slots_.size())) {}
+
+  /// Inserts `key`; false if it was already present.
+  bool insert(u64 key) {
+    const u64 mask = slots_.size() - 1;
+    // Fibonacci hashing: the product's top bits mix both endpoints.
+    for (u64 i = (key * 0x9e3779b97f4a7c15ULL) >> shift_;; i = (i + 1) & mask) {
+      if (slots_[i] == key) return false;
+      if (slots_[i] == 0) {
+        slots_[i] = key;
+        return true;
+      }
+    }
+  }
+
+ private:
+  std::vector<u64> slots_;
+  int shift_;
+};
+
 }  // namespace
 
 EdgeList random_graph(NodeId n, i64 m, u64 seed) {
@@ -28,13 +59,12 @@ EdgeList random_graph(NodeId n, i64 m, u64 seed) {
   EdgeList g(n);
   g.reserve(m);
   Prng rng(seed);
-  std::unordered_set<u64> present;
-  present.reserve(static_cast<usize>(m) * 2);
+  PairSet present(m);
   while (g.num_edges() < m) {
     const auto u = static_cast<NodeId>(rng.below(static_cast<u64>(n)));
     const auto v = static_cast<NodeId>(rng.below(static_cast<u64>(n)));
     if (u == v) continue;
-    if (present.insert(pair_key(u, v)).second) {
+    if (present.insert(pair_key(u, v))) {
       g.add_edge(u, v);
     }
   }
@@ -109,8 +139,7 @@ EdgeList rmat_graph(NodeId n, i64 m, double a, double b, double c, u64 seed) {
   EdgeList g(n);
   g.reserve(m);
   Prng rng(seed);
-  std::unordered_set<u64> present;
-  present.reserve(static_cast<usize>(m) * 2);
+  PairSet present(m);
   while (g.num_edges() < m) {
     NodeId lo_u = 0, lo_v = 0;
     for (NodeId span = n; span > 1; span /= 2) {
@@ -123,7 +152,7 @@ EdgeList rmat_graph(NodeId n, i64 m, double a, double b, double c, u64 seed) {
       lo_v += right ? span / 2 : 0;
     }
     if (lo_u == lo_v) continue;
-    if (present.insert(pair_key(lo_u, lo_v)).second) {
+    if (present.insert(pair_key(lo_u, lo_v))) {
       g.add_edge(lo_u, lo_v);
     }
   }

@@ -10,6 +10,13 @@
 // Reads/writes through this class move data only; *timing* lives entirely in
 // the machine models. Host-side setup and verification use the same accessors
 // at zero simulated cost.
+//
+// Storage is exact: the words live in a single anonymous mapping that each
+// alloc() grows to the page-rounded size of the words allocated (mremap, so
+// growth never copies the words or holds two copies, and new words read 0
+// because new pages are zero). The tag bytes do not exist until the first
+// word is emptied: until then every word is full. No raw word pointer may be
+// kept across an alloc(), which may move the mapping.
 #pragma once
 
 #include <span>
@@ -23,11 +30,16 @@ namespace archgraph::sim {
 class SimMemory {
  public:
   SimMemory() = default;
+  ~SimMemory();
+  SimMemory(const SimMemory&) = delete;
+  SimMemory& operator=(const SimMemory&) = delete;
 
   /// Bump-allocates `words` consecutive words, zero-filled and full.
   Addr alloc(i64 words);
 
-  i64 size_words() const { return static_cast<i64>(words_.size()); }
+  i64 size_words() const { return size_; }
+  /// Bytes mapped for the words: size_words() x 8 rounded up to whole pages.
+  usize mapped_bytes() const { return mapped_bytes_; }
 
   i64 read(Addr a) const {
     bounds_check(a);
@@ -40,16 +52,19 @@ class SimMemory {
 
   bool full(Addr a) const {
     bounds_check(a);
-    return full_[a] != 0;
+    return empty_words_ == 0 || full_[a] != 0;
   }
   /// While no word is empty every tag is already full, so setting one full
   /// returns without touching the tag array: a plain store then costs one
   /// host line (the data word), not two, in every kernel that never purges
-  /// a word.
+  /// a word. The first empty builds the tag array.
   void set_full(Addr a, bool full) {
     bounds_check(a);
     if (full && empty_words_ == 0) {
       return;
+    }
+    if (full_.empty()) {
+      full_.assign(static_cast<usize>(size_), 1);
     }
     u8& tag = full_[a];
     if (tag != static_cast<u8>(full)) {
@@ -59,6 +74,8 @@ class SimMemory {
   }
   /// Words whose tag is empty.
   i64 empty_words() const { return empty_words_; }
+  /// True once a word has been emptied and the tag array exists.
+  bool has_tags() const { return !full_.empty(); }
 
  private:
   // Every simulated memory operation lands here, so release builds compile
@@ -67,13 +84,15 @@ class SimMemory {
   // word-at-a-time kernels in bench/micro_sim_hotpath); debug builds still
   // throw on an out-of-range simulated address.
   void bounds_check(Addr a) const {
-    AG_DCHECK(a < words_.size(), "simulated address out of range");
+    AG_DCHECK(a < static_cast<Addr>(size_), "simulated address out of range");
     (void)a;
   }
 
-  std::vector<i64> words_;
-  std::vector<u8> full_;
-  i64 empty_words_ = 0;  // words whose full_ tag is 0
+  i64* words_ = nullptr;  // the mapping; null until the first alloc()
+  i64 size_ = 0;          // words allocated, padding included
+  usize mapped_bytes_ = 0;
+  std::vector<u8> full_;  // one tag per word once a word has been emptied
+  i64 empty_words_ = 0;   // words whose full_ tag is 0
 };
 
 /// Typed view of a simulated array. T must be losslessly convertible through

@@ -48,9 +48,12 @@ MtaMachine::MtaMachine(MtaConfig config)
       config_(config) {
   validate(config_);
   // An odd latency puts its extra cycle on the response leg, so every
-  // round trip totals exactly memory_latency.
+  // round trip totals exactly memory_latency; the NUMA extra splits the
+  // same way.
   net_half_ = config_.memory_latency / 2;
   net_back_ = config_.memory_latency - net_half_;
+  numa_half_ = config_.nonuniform_extra / 2;
+  numa_back_ = config_.nonuniform_extra - numa_half_;
 }
 
 usize MtaMachine::bank_of(Addr addr) const {
@@ -265,13 +268,9 @@ void MtaMachine::issue(u32 proc_id, Cycle now) {
   }
 }
 
-Cycle MtaMachine::numa_penalty(usize bank, u32 proc) const {
-  if (config_.nonuniform_extra == 0) {
-    return 0;
-  }
-  const u32 owner =
-      static_cast<u32>(bank / config_.banks_per_processor);
-  return owner == proc ? 0 : config_.nonuniform_extra / 2;  // per direction
+bool MtaMachine::remote(usize bank, u32 proc) const {
+  return config_.nonuniform_extra != 0 &&
+         static_cast<u32>(bank / config_.banks_per_processor) != proc;
 }
 
 Cycle MtaMachine::service_memory(Operation& op, Cycle issue_time, u32 proc) {
@@ -282,29 +281,31 @@ Cycle MtaMachine::service_memory(Operation& op, Cycle issue_time, u32 proc) {
                           op.kind != OpKind::kLoad);
   }
   const usize bank = bank_of(op.addr);
-  const Cycle extra = numa_penalty(bank, proc);
-  const Cycle arrival = issue_time + 1 + net_half_ + extra;
+  const bool far = remote(bank, proc);
+  const Cycle arrival = issue_time + 1 + net_half_ + (far ? numa_half_ : 0);
   const Cycle start = std::max(arrival, bank_free_[bank]);
   bank_free_[bank] = start + 1;
   // Data effect applied at service (event order == issue order, so
   // fetch-add sequences are deterministic).
   apply_data_effect(op);
-  return start + 1 + net_back_ + extra;
+  return start + 1 + net_back_ + (far ? numa_back_ : 0);
 }
 
 void MtaMachine::attempt_sync(u32 tid, Cycle arrival) {
   // Every probe, retries included, consumes a bank cycle.
   ThreadState* ts = threads_[tid];
   const usize bank = bank_of(ts->pending.addr);
-  const Cycle extra = numa_penalty(bank, ts->processor);
-  const Cycle start = std::max(arrival + extra, bank_free_[bank]);
+  const bool far = remote(bank, ts->processor);
+  const Cycle start =
+      std::max(arrival + (far ? numa_half_ : 0), bank_free_[bank]);
   bank_free_[bank] = start + 1;
 
   if (!try_sync(tid, start + 1)) {
     return;  // parked on the word until its tag flips
   }
   start_sync_flight(tid, arrival);
-  events_.push(start + 1 + net_back_ + extra, kComplete, tid);
+  events_.push(start + 1 + net_back_ + (far ? numa_back_ : 0), kComplete,
+               tid);
 }
 
 std::vector<ProfGaugeInfo> MtaMachine::prof_gauge_info() const {

@@ -132,13 +132,15 @@ class MtaMachine final : public Machine {
   /// One bank probe of tid's pending full/empty op arriving at `arrival`
   /// (its first attempt, or a retry after a wake).
   void attempt_sync(u32 tid, Cycle arrival);
-  /// One-way extra network cycles if `bank` is not local to `proc`.
-  Cycle numa_penalty(usize bank, u32 proc) const;
+  /// True if `bank` is not local to `proc`, so a nonuniform_extra applies.
+  bool remote(usize bank, u32 proc) const;
   usize bank_of(Addr addr) const;
 
   MtaConfig config_;
   Cycle net_half_;  // request leg: memory_latency / 2
   Cycle net_back_;  // response leg: the rest of memory_latency
+  Cycle numa_half_;  // remote request leg: nonuniform_extra / 2
+  Cycle numa_back_;  // remote response leg: the rest of nonuniform_extra
 
   // Region-scoped state (reset by open_region()).
   std::vector<Processor> procs_;

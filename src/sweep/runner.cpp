@@ -228,6 +228,8 @@ CellResult run_cell_with_input(const SweepCell& cell, const KernelInfo& kernel,
     if (options.trace) result.spans = session->spans();
   }
   result.meas = core::snapshot(*machine);
+  result.sim_memory_bytes =
+      static_cast<i64>(machine->memory().mapped_bytes());
   return result;
 }
 
@@ -343,7 +345,8 @@ PlanRun run_plan(
             w.field("run_id", plan.cells[i].run_id())
                 .field("index", static_cast<i64>(i))
                 .field("host_seconds", result.host_seconds)
-                .field("cycles", static_cast<i64>(result.meas.cycles));
+                .field("cycles", static_cast<i64>(result.meas.cycles))
+                .field("sim_memory_bytes", result.sim_memory_bytes);
           });
         }
         std::lock_guard lock(emit_mutex);

@@ -77,6 +77,9 @@ struct CellResult {
   /// generation shared with other cells). Non-deterministic by nature, so it
   /// is never part of the persisted JSONL record.
   double host_seconds = 0.0;
+  /// Bytes the cell's simulated memory mapped (SimMemory::mapped_bytes()).
+  /// Host-side like host_seconds, so it reaches the event log only.
+  i64 sim_memory_bytes = 0;
 };
 
 /// What run_plan() returns: every cell's result in plan order plus the host-

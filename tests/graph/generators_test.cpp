@@ -97,6 +97,36 @@ TEST(RmatGraph, SkewedParametersConcentrateDegree) {
   EXPECT_GT(low_endpoints, 2048);
 }
 
+/// FNV-1a (64-bit) over every edge's endpoints in list order, so two edge
+/// lists hash equal only if they hold the same edges in the same order.
+u64 edge_hash(const EdgeList& g) {
+  u64 h = 0xcbf29ce484222325ULL;
+  for (const Edge& e : g.edges()) {
+    for (const NodeId x : {e.u, e.v}) {
+      auto bits = static_cast<u64>(x);
+      for (int byte = 0; byte < 8; ++byte, bits >>= 8) {
+        h = (h ^ (bits & 0xff)) * 0x100000001b3ULL;
+      }
+    }
+  }
+  return h;
+}
+
+// Pinned from the generators as they stood before the dedupe set changed
+// representation: the set answers membership only, so the draws, and with
+// them every edge list, must not move.
+TEST(GeneratorPins, RandomGraphEdgeListIsPinned) {
+  const EdgeList g = random_graph(8192, 163840, 1);
+  ASSERT_EQ(g.num_edges(), 163840);
+  EXPECT_EQ(edge_hash(g), 0x33421deed441f00dULL);
+}
+
+TEST(GeneratorPins, RmatGraphEdgeListIsPinned) {
+  const EdgeList g = rmat_graph(8192, 32768, 0.55, 0.2, 0.15, 7);
+  ASSERT_EQ(g.num_edges(), 32768);
+  EXPECT_EQ(edge_hash(g), 0x8c95c8cdfb55c62bULL);
+}
+
 TEST(RandomTree, IsATree) {
   for (u64 seed = 0; seed < 5; ++seed) {
     const EdgeList t = random_tree(100, seed);

@@ -123,6 +123,27 @@ TEST(MachineDeterminism, OddMtaLatencyLengthensTheResponseLeg) {
   }
 }
 
+TEST(MachineDeterminism, OddMtaNumaExtraLengthensTheResponseLeg) {
+  // A remote bank's numa= extra splits like the latency: numa / 2 on the
+  // request leg, the rest on the response leg. 20 keeps its value from when
+  // each leg was charged numa / 2.
+  i64 last = 0;
+  for (const i64 numa : {20, 21, 22}) {
+    const std::string spec = "kernel=lr_hj machine=mta:procs=4,numa=" +
+                             std::to_string(numa) +
+                             " n=4096 layout=random seed=1";
+    const SweepPlan plan = expand_all({spec});
+    ASSERT_EQ(plan.cells.size(), 1u) << spec;
+    const ResultRecord r = to_record(run_cell(plan.cells[0]));
+    EXPECT_TRUE(r.verified) << spec;
+    if (numa == 20) {
+      EXPECT_EQ(r.cycles, 1456443);
+    }
+    EXPECT_GT(r.cycles, last) << spec;
+    last = r.cycles;
+  }
+}
+
 TEST(MachineDeterminism, ProfilerAttachmentKeepsTheGoldens) {
   // The profiled event loop is a separate instantiation of the hot loop —
   // it must simulate the same machine to the cycle.

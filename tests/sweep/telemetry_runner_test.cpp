@@ -148,7 +148,14 @@ TEST(SweepTelemetry, EventLogIsWellFormedAndOrdered) {
     EXPECT_GE(ts->as_i64(), last_ts) << "timestamps must be non-decreasing";
     last_ts = ts->as_i64();
     if (types.back() == "cell_started") ++started;
-    if (types.back() == "cell_finished") ++finished;
+    if (types.back() == "cell_finished") {
+      ++finished;
+      // The cell's simulated memory: whole pages, never zero.
+      const obs::JsonValue* bytes = doc.find("sim_memory_bytes");
+      ASSERT_NE(bytes, nullptr) << line;
+      EXPECT_GT(bytes->as_i64(), 0) << line;
+      EXPECT_EQ(bytes->as_i64() % 4096, 0) << line;
+    }
     if (types.back() == "input_generated") ++inputs;
   }
   ASSERT_FALSE(types.empty());
