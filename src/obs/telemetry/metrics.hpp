@@ -2,9 +2,9 @@
 // simulated-cycle observability stack (obs/trace, obs/prof): everything in
 // here measures the *host* process (wall-clock latencies, cache hits, queue
 // depths), never simulated machine state, and nothing in here may influence a
-// simulation. The sweep executor, rt::ThreadPool and the input cache feed a
-// MetricsRegistry; the CLIs and benches export it as OpenMetrics text
-// (--metrics-out) or as a "host_metrics" JSON object.
+// simulation. The sweep executor and its input cache feed a MetricsRegistry;
+// the CLIs and benches export it as OpenMetrics text (--metrics-out) or as a
+// "host_metrics" JSON object.
 //
 // Three instrument kinds, all thread-safe after registration:
 //   * Counter   — monotonic u64 (cells completed, cache hits);

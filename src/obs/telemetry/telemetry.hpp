@@ -16,8 +16,6 @@
 //   archgraph_sweep_queue_depth          gauge    unclaimed cells remaining
 //   archgraph_sweep_jobs                 gauge    resolved worker count
 //   archgraph_sweep_plan_cells           gauge    plan size
-//   archgraph_host_pool_regions          counter  thread-pool regions run
-//   archgraph_host_pool_tasks            counter  queued tasks executed
 //   archgraph_sweep_cell_host_seconds    histogram  per-cell host latency
 //   archgraph_sweep_input_build_seconds  histogram  per-input generation time
 #pragma once

@@ -3,6 +3,7 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <new>
 
 #include "common/prng.hpp"
@@ -14,6 +15,26 @@ namespace {
 usize page_bytes() {
   static const auto bytes = static_cast<usize>(sysconf(_SC_PAGESIZE));
   return bytes;
+}
+
+/// Grows the mapping at `old` from `old_bytes` to `new_bytes`, keeping its
+/// contents; MAP_FAILED if the kernel refuses.
+void* grow_mapping(void* old, usize old_bytes, usize new_bytes) {
+#ifdef __SANITIZE_THREAD__
+  // ThreadSanitizer does not reset its shadow state for the ranges mremap
+  // moves or frees, so a later mapping at a reused address inherits another
+  // worker's access history, and TSan reports races between threads that
+  // never share a SimMemory. Under TSan, grow by a fresh mapping and a copy.
+  void* p = mmap(nullptr, new_bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p != MAP_FAILED) {
+    std::memcpy(p, old, old_bytes);
+    munmap(old, old_bytes);
+  }
+  return p;
+#else
+  return mremap(old, old_bytes, new_bytes, MREMAP_MAYMOVE);
+#endif
 }
 
 }  // namespace
@@ -45,7 +66,7 @@ Addr SimMemory::alloc(i64 words) {
     void* p = words_ == nullptr
                   ? mmap(nullptr, need, PROT_READ | PROT_WRITE,
                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0)
-                  : mremap(words_, mapped_bytes_, need, MREMAP_MAYMOVE);
+                  : grow_mapping(words_, mapped_bytes_, need);
     if (p == MAP_FAILED) {
       throw std::bad_alloc();
     }

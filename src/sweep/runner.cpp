@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <filesystem>
 #include <future>
 #include <memory>
@@ -15,7 +16,6 @@
 #include "common/check.hpp"
 #include "common/timer.hpp"
 #include "obs/prof/prof.hpp"
-#include "rt/thread_pool.hpp"
 #include "sim/machine_spec.hpp"
 
 namespace archgraph::sweep {
@@ -233,6 +233,30 @@ CellResult run_cell_with_input(const SweepCell& cell, const KernelInfo& kernel,
   return result;
 }
 
+/// Runs worker(0) on the calling thread and worker(1) .. worker(jobs - 1) on
+/// threads of their own, joins them all, then rethrows the first exception
+/// any of them threw. jobs == 1 starts no thread.
+template <typename Worker>
+void run_workers(usize jobs, const Worker& worker) {
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
+  const auto guarded = [&](usize id) {
+    try {
+      worker(id);
+    } catch (...) {
+      std::lock_guard lock(error_mutex);
+      if (!first_error) first_error = std::current_exception();
+    }
+  };
+  {
+    std::vector<std::jthread> threads;
+    threads.reserve(jobs - 1);
+    for (usize id = 1; id < jobs; ++id) threads.emplace_back(guarded, id);
+    guarded(0);
+  }  // each jthread joins as it goes out of scope
+  if (first_error) std::rethrow_exception(first_error);
+}
+
 }  // namespace
 
 usize auto_jobs() {
@@ -367,20 +391,7 @@ PlanRun run_plan(
   };
 
   Timer total_timer;
-  if (jobs == 1) {
-    worker(0);
-  } else {
-    rt::ThreadPool pool(jobs);
-    pool.run(worker);
-    if (options.telemetry) {
-      const rt::ThreadPool::StatsSnapshot stats = pool.stats();
-      auto& r = options.telemetry->registry;
-      r.counter("archgraph_host_pool_regions", "Thread-pool regions run")
-          .add(stats.regions_run);
-      r.counter("archgraph_host_pool_tasks", "Queued thread-pool tasks run")
-          .add(stats.tasks_executed);
-    }
-  }
+  run_workers(jobs, worker);
   out.host_seconds = total_timer.seconds();
   out.inputs_generated = cache.generated();
   if (inst.queue_depth) inst.queue_depth->set(0);

@@ -97,9 +97,21 @@ TEST(RunPlanParallel, JobsZeroMeansAutoAndClampsToPlanSize) {
 }
 
 TEST(RunPlanParallel, CellFailurePropagatesToCaller) {
-  SweepPlan plan = mixed_plan();
-  plan.cells[5].machine = "vax";  // invalid spec fails inside a worker
-  EXPECT_THROW(run_plan(plan, jobs_options(4)), std::logic_error);
+  // The failing cell sits first, in the middle and last, so over the runs it
+  // is claimed by the calling thread and by spawned ones alike. A throw that
+  // escaped a spawned thread would call std::terminate and fail the binary.
+  const SweepPlan good = mixed_plan();
+  for (const usize bad : {usize{0}, good.cells.size() / 2,
+                          good.cells.size() - 1}) {
+    SweepPlan plan = good;
+    plan.cells[bad].machine = "vax";  // invalid spec fails inside a worker
+    for (const usize jobs : {usize{2}, usize{4}}) {
+      for (int run = 0; run < 3; ++run) {
+        EXPECT_THROW(run_plan(plan, jobs_options(jobs)), std::logic_error)
+            << "bad cell " << bad << ", jobs " << jobs << ", run " << run;
+      }
+    }
+  }
 }
 
 }  // namespace

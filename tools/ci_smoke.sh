@@ -16,17 +16,6 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 echo "== ctest =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-echo "== examples (each must exit 0) =="
-# The examples self-check their answers with AG_CHECK, so a clean exit is a
-# correctness check of the library flows they drive.
-for example in quickstart network_components architecture_explorer; do
-  "$BUILD_DIR"/examples/"$example" >/dev/null || {
-    echo "error: example $example failed" >&2
-    exit 1
-  }
-done
-echo "ok: quickstart, network_components, architecture_explorer ran clean"
-
 echo "== bench (quick scale, JSON) =="
 OUT_DIR="$(mktemp -d)"
 trap 'rm -rf "$OUT_DIR"' EXIT
